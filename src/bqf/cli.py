@@ -72,8 +72,11 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     out.append("</g>")
     out.append('<g fill="#335577">')
     for z in sorted(points, key=lambda w: (w.re(), w.abs_sq())):
-        cx = _sx(z.p / z.q)
-        cy = _sy(math.sqrt(-z.D) / z.q)
+        try:
+            cx = _sx(z.p / z.q)
+            cy = _sy(math.sqrt(-z.D) / z.q)
+        except OverflowError:
+            raise ValueError(f"point {z} does not fit in a float") from None
         out.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="4"/>')
     out.append("</g>")
     out.append("</svg>")

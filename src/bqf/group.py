@@ -16,6 +16,7 @@ the diagonal conjugate returned by base_point_transform.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .forms import QuadraticForm
@@ -137,10 +138,6 @@ def base_point_transform(g: GroupElement) -> GroupElement:
     return GroupElement(g.r, -g.s, -g.t, g.u)
 
 
-def _translation(m: int) -> GroupElement:
-    return GroupElement(1, m, 0, 1)
-
-
 def _translation_word(m: int) -> str:
     # TU is the translation z -> z + 1, VT its inverse.
     return "TU" * m if m >= 0 else "VT" * (-m)
@@ -154,8 +151,38 @@ def word_to_element(word: str) -> GroupElement:
     return g
 
 
-# Conjugation by R, as words: R X R for each letter X.
-_R_PUSH = {"T": "T", "U": "TVT", "V": "TUT"}
+# Two-letter words and what they rewrite to: R^2 = T^2 = U^3 = 1 with
+# V = U^2, and X R = R (R X R), which moves R left (R U R = T V T).
+_RELATIONS = {"RR": "", "TT": "", "UV": "", "VU": "", "UU": "V", "VV": "U",
+              "TR": "RT", "UR": "RTVT", "VR": "RTUT"}
+
+
+def _rewrite(chunks: Sequence[str]) -> str:
+    """Normal form of the concatenated chunks: the one word rewriter.
+
+    A chunk is a normal word with no R after its first letter, such as a
+    single letter, (TU)^m, (VT)^m or T. Relations apply only where a chunk
+    meets the word so far; once one of its letters lands, the rest is kept
+    as one slice, parts[k][:ends[k]]. Cancelling trims an end index.
+    """
+    parts: list[str] = []
+    ends: list[int] = []
+    todo = [(chunk, 0) for chunk in reversed(chunks)]  # (chunk, next letter)
+    while todo:
+        chunk, i = todo.pop()
+        if i == len(chunk):
+            continue
+        repl = _RELATIONS.get(parts[-1][ends[-1] - 1] + chunk[i]) if parts else None
+        if repl is None:
+            parts.append(chunk[i:])
+            ends.append(len(chunk) - i)
+            continue
+        ends[-1] -= 1
+        if not ends[-1]:
+            parts.pop()
+            ends.pop()
+        todo += (chunk, i + 1), (repl, 0)
+    return "".join(p[:e] for p, e in zip(parts, ends))
 
 
 def normalize_word(word: str) -> str:
@@ -165,55 +192,36 @@ def normalize_word(word: str) -> str:
     conjugates U, V to the parabolic words T V T, T U T, so it bubbles to
     the front. The result has at most one R, in front, followed by letters
     alternating between T and {U, V}; it is the unique such word for the
-    element.
+    element. Each letter goes through the same rewriter that assembles
+    element_to_word's words from syllables.
     """
-    stack: list[str] = []
-    pending = [ch for ch in reversed(word)]
-    for ch in pending:
-        if ch not in LETTERS:
-            raise ValueError(f"unknown generator letter {ch!r}")
-    while pending:
-        ch = pending.pop()
-        if not stack:
-            stack.append(ch)
-            continue
-        pair = stack[-1] + ch
-        if pair in ("RR", "TT", "UV", "VU"):
-            stack.pop()
-        elif pair == "UU":
-            stack.pop()
-            pending.append("V")
-        elif pair == "VV":
-            stack.pop()
-            pending.append("U")
-        elif ch == "R":
-            # bubble R toward the front through the relations
-            top = stack.pop()
-            pending.extend(reversed(_R_PUSH[top]))
-            pending.append("R")
-        else:
-            stack.append(ch)
-    return "".join(stack)
+    rest = word.rstrip(LETTERS)  # ends in the last letter that is not a generator
+    if rest:
+        raise ValueError(f"unknown generator letter {rest[-1]!r}")
+    return _rewrite(word)
 
 
 def element_to_word(g: GroupElement) -> str:
     """Express g as a normalized word in the generators.
 
     A determinant -1 element gets a leading R; the rotation part is
-    decomposed by Euclidean descent on the bottom row, emitting
-    translations (TU)^m and inversions T until the row is (0, 1).
+    decomposed by nearest-integer Euclidean descent on the bottom row,
+    one syllable per quotient: a translation (TU)^m or (VT)^-m, then an
+    inversion T, until the row is (0, +-1). The word is assembled from
+    these syllables, rewriting only where two meet, so it costs O(steps)
+    bigint operations plus one join of the output's length.
     """
-    letters: list[str] = []
-    x = g
-    if x.det == -1:
-        letters.append("R")
-        x = compose(R, x)
-    while x.t != 0:
-        q = x.r // x.t
-        m = q if abs(x.r - q * x.t) <= abs(x.r - (q + 1) * x.t) else q + 1
-        letters.append(_translation_word(m))
-        letters.append("T")
-        x = compose(T, compose(_translation(-m), x))
-    # canonical sign leaves x = (1, s; 0, 1)
-    letters.append(_translation_word(x.s))
-    return normalize_word("".join(letters))
+    r, s, t, u = g.r, g.s, g.t, g.u
+    chunks: list[str] = []
+    if g.det == -1:
+        chunks.append("R")
+        t, u = -t, -u  # R g
+    while t != 0:
+        q = r // t
+        m = q if abs(r - q * t) <= abs(r - (q + 1) * t) else q + 1
+        chunks.append(_translation_word(m))
+        chunks.append("T")
+        r, s, t, u = -t, -u, r - m * t, s - m * u  # T (z -> z - m) g
+    # ru = 1 leaves the translation z -> z + s/u
+    chunks.append(_translation_word(s * u))
+    return _rewrite(chunks)

@@ -5,18 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import QuadraticForm
-from .group import (
-    IDENTITY,
-    R,
-    T,
-    GroupElement,
-    _translation,
-    _translation_word,
-    act_on_form,
-    compose,
-    inverse,
-    normalize_word,
-)
+from .group import R, GroupElement, element_to_word, inverse
 
 
 @dataclass(frozen=True)
@@ -24,13 +13,39 @@ class ReductionResult:
     """Reduced form plus the group element carrying the input onto it.
 
     act_on_form(witness, original) == reduced, word multiplies out to
-    witness mod sign, steps counts elementary moves.
+    witness mod sign, steps counts elementary moves. The word is
+    element_to_word(witness), assembled from syllables: reduction costs
+    O(steps) bigint operations plus one join of the word's length, so the
+    2*10^7-letter word of [1, 2*10^7, 10^14 + 1] takes tens of ms.
     """
 
     reduced: QuadraticForm
     witness: GroupElement
     word: str
     steps: int
+
+
+def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
+    """Reduced form, witness (r s / t u) and steps: reduce_form without a word."""
+    if not form.is_positive_definite():
+        raise ValueError("only positive definite forms can be reduced")
+    a, b, c = form.a, form.b, form.c
+    r, s, t, u = 1, 0, 0, 1
+    steps = 0
+    while True:
+        if not -a < b <= a:
+            m = -((a - b) // (2 * a))  # ceil((b - a) / (2a))
+            c = a * m * m - b * m + c
+            b = b - 2 * a * m
+            r, s = r + m * t, s + m * u  # (1 m / 0 1) times the witness
+            steps += 1
+        elif a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            r, s, t, u = -t, -u, r, s  # T times the witness
+            steps += 1
+        else:
+            break
+    return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
 
 
 def reduce_form(form: QuadraticForm) -> ReductionResult:
@@ -42,29 +57,8 @@ def reduce_form(form: QuadraticForm) -> ReductionResult:
     tie. Content is linear through every move, so imprimitive forms reduce
     to their content times a reduced form with the same witness.
     """
-    if not form.is_positive_definite():
-        raise ValueError("only positive definite forms can be reduced")
-    a, b, c = form.a, form.b, form.c
-    witness = IDENTITY
-    pieces: list[str] = []
-    steps = 0
-    while True:
-        if not -a < b <= a:
-            m = -((a - b) // (2 * a))  # ceil((b - a) / (2a))
-            c = a * m * m - b * m + c
-            b = b - 2 * a * m
-            witness = compose(_translation(m), witness)
-            pieces.append(_translation_word(m))
-            steps += 1
-        elif a > c or (a == c and b < 0):
-            a, b, c = c, -b, a
-            witness = compose(T, witness)
-            pieces.append("T")
-            steps += 1
-        else:
-            break
-    word = normalize_word("".join(reversed(pieces)))
-    return ReductionResult(QuadraticForm(a, b, c), witness, word, steps)
+    reduced, witness, steps = _reduce(form)
+    return ReductionResult(reduced, witness, element_to_word(witness), steps)
 
 
 def equivalent(
@@ -81,17 +75,17 @@ def equivalent(
         raise ValueError("equivalence test requires positive definite forms")
     if form.discriminant() != other.discriminant():
         return None
-    rf = reduce_form(form)
-    ro = reduce_form(other)
-    if rf.reduced == ro.reduced:
-        return compose(inverse(rf.witness), ro.witness)
+    rf, wf, _ = _reduce(form)
+    ro, wo, _ = _reduce(other)
+    if rf == ro:
+        return inverse(wf) * wo
     if mode == "extended":
-        rm = reduce_form(other.mirror())
-        if rf.reduced == rm.reduced:
-            return compose(compose(inverse(rf.witness), rm.witness), R)
+        rm, wm, _ = _reduce(other.mirror())
+        if rf == rm:
+            return inverse(wf) * wm * R
     return None
 
 
 def minimum_represented(form: QuadraticForm) -> int:
     """Smallest positive integer the form takes on (x, y) != (0, 0)."""
-    return reduce_form(form).reduced.a
+    return _reduce(form)[0].a

@@ -121,6 +121,10 @@ def test_domain_errors_exit_one():
             "error: elements lie over different n\n",
         ),
         (["plot", "1,3,1"], "error: base point defined only for positive definite forms\n"),
+        (
+            ["plot", "--points", "1,1,-1" + "0" * 400],
+            "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
+        ),
     ]
     for argv, want in cases:
         code, out, err = run(argv)

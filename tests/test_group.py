@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import (
     IDENTITY,
@@ -24,8 +26,20 @@ from bqf import (
     normalize_word,
     word_to_element,
 )
+from bqf.group import _rewrite
 
 from helpers import random_element, random_positive_definite
+
+words = st.text(alphabet="RTUV", max_size=60)
+
+
+@st.composite
+def normal_chunks(draw):
+    """An R-free normal word: letters alternating between T and {U, V}."""
+    body = "T".join(draw(st.lists(st.sampled_from("UV"), max_size=12)))
+    if not body:
+        return draw(st.sampled_from(("", "T")))
+    return draw(st.sampled_from(("", "T"))) + body + draw(st.sampled_from(("", "T")))
 
 
 def raw_product(g, h):
@@ -253,9 +267,16 @@ def test_element_to_word_round_trip():
     assert element_to_word(GroupElement(1, 5, 0, 1)) == "TUTUTUTUTU"
 
 
-def test_normal_form_is_unique():
+@settings(deadline=None)
+@given(words)
+def test_normal_form_is_unique(w):
     # same element -> same normalized word, whatever word produced it
-    rng = random.Random(0x6D)
-    for _ in range(1000):
-        w = "".join(rng.choice("RTUV") for _ in range(rng.randint(0, 16)))
-        assert normalize_word(w) == element_to_word(word_to_element(w))
+    assert normalize_word(w) == element_to_word(word_to_element(w))
+
+
+@settings(deadline=None)
+@given(st.booleans(), st.lists(normal_chunks(), max_size=8))
+def test_rewriter_matches_normalize_word(lead_r, chunks):
+    # rewriting where chunks meet gives the letter-by-letter normal form
+    chunks = ["R"] * lead_r + chunks
+    assert _rewrite(chunks) == normalize_word("".join(chunks))

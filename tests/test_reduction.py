@@ -2,8 +2,11 @@
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import (
     IDENTITY,
@@ -12,6 +15,7 @@ from bqf import (
     act_on_form,
     base_point,
     compose,
+    element_to_word,
     equivalent,
     minimum_represented,
     reduce_form,
@@ -19,6 +23,17 @@ from bqf import (
 )
 
 from helpers import random_element, random_positive_definite, random_skewed_form
+
+WIDE = QuadraticForm(1, 2 * 10**7, 10**14 + 1)  # one translation by 10^7
+
+
+@st.composite
+def moved_forms(draw):
+    """A positive definite form moved by an arbitrary word."""
+    a, c = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    b_max = math.isqrt(4 * a * c - 1)
+    f = QuadraticForm(a, draw(st.integers(-b_max, b_max)), c)
+    return act_on_form(word_to_element(draw(st.text(alphabet="RTUV", max_size=40))), f)
 
 
 def test_worked_example():
@@ -77,6 +92,32 @@ def test_reduction_properties_bulk():
         assert 3 * result.reduced.a**2 <= -f.discriminant()
         limit = 4 * max(f.a, abs(f.b), f.c).bit_length() + 8
         assert result.steps <= limit
+
+
+@settings(deadline=None)
+@given(moved_forms())
+def test_word_is_the_witness_normal_form(f):
+    result = reduce_form(f)
+    assert result.word == element_to_word(result.witness)
+
+
+def test_wide_translation_word():
+    t0 = time.perf_counter()
+    result = reduce_form(WIDE)
+    elapsed = time.perf_counter() - t0
+    assert result.reduced == QuadraticForm(1, 0, 1)
+    assert result.witness == GroupElement(1, 10**7, 0, 1)
+    assert result.steps == 1
+    assert result.word == "TU" * 10**7
+    assert elapsed < 1.0
+
+
+def test_equivalent_wide_builds_no_word():
+    t0 = time.perf_counter()
+    g = equivalent(WIDE, QuadraticForm(1, 0, 1))
+    elapsed = time.perf_counter() - t0
+    assert act_on_form(g, QuadraticForm(1, 0, 1)) == WIDE
+    assert elapsed < 1.0
 
 
 def test_reduction_is_idempotent_on_classes():
