@@ -1,8 +1,22 @@
-"""Enumeration of reduced forms and class numbers for negative discriminants."""
+"""Enumeration of reduced forms and class numbers for negative discriminants.
+
+A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and
+b^2 = delta (mod 4a). So for each a <= sqrt(|delta|/3) the b to try are the
+roots of that congruence, found with one smallest-prime-factor sieve,
+Tonelli-Shanks, lifting to prime powers and the CRT: O(sqrt|delta|) values
+of a with a few roots each, not the ~|delta|/6 cells of the (a, b) box.
+|delta| is capped at MAX_ABS_DELTA = 10^10 (under a second); above it the
+functions raise ValueError.
+"""
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .forms import QuadraticForm
+from .residues import sqrt_mod_prime
+
+MAX_ABS_DELTA = 10**10
 
 
 def validate_discriminant(delta: int) -> None:
@@ -13,51 +27,88 @@ def validate_discriminant(delta: int) -> None:
         )
 
 
+def _prime_power_roots(delta: int, p: int, q: int, roots: dict) -> list[int]:
+    # roots of x^2 = delta (mod q), q = p^k; a simple root mod p comes from
+    # Tonelli-Shanks, and each root mod q/p is tried at its p lifts mod q
+    if q not in roots:
+        if q == p and (2 * delta) % p:
+            r = sqrt_mod_prime(delta, p)
+            roots[q] = [] if r is None else [r, p - r]
+        else:
+            prev = q // p
+            roots[q] = [
+                x
+                for r in _prime_power_roots(delta, p, prev, roots)
+                for x in range(r, q, prev)
+                if (x * x - delta) % q == 0
+            ]
+    return roots[q]
+
+
+def _crt(rs: list[int], m: int, ss: list[int], q: int) -> list[int]:
+    # x = r (mod m) and x = s (mod q) for coprime m, q; x in [0, mq)
+    inv = pow(m, -1, q)
+    return [r + m * ((s - r) * inv % q) for r in rs for s in ss]
+
+
 def _candidates(delta: int):
-    # b runs over the parity class of delta with |b| <= a <= sqrt(-delta/3);
-    # c is forced by the discriminant and must be integral and >= a.
-    a = 1
-    while 3 * a * a <= -delta:
-        b = -a if (a + delta) % 2 == 0 else -a + 1
-        while b <= a:
-            num = b * b - delta
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a:
-                    yield QuadraticForm(a, b, c)
-            b += 2
-        a += 1
+    # almost-reduced forms [a, b, c] of discriminant delta, in (a, b) order.
+    # b^2 = delta (mod 4a) depends on b mod 2a only; with a = 2^j m, m odd,
+    # its roots mod 2a are the CRT of those mod 2^(j+1) and those mod m.
+    a_max = isqrt(-delta // 3)
+    spf = list(range(a_max + 1))  # smallest prime factors: the last write wins
+    for i in range(isqrt(a_max), 1, -1):
+        spf[i * i :: i] = [i] * ((a_max - i * i) // i + 1)
+    roots: dict[int, list[int]] = {1: [0]}  # n -> roots of x^2 = delta (mod n)
+    for a in range(1, a_max + 1):
+        low = a & -a
+        m = a // low
+        if m not in roots:  # then m = a is odd and m // q was done before it
+            p = q = spf[m]
+            while m % (q * p) == 0:
+                q *= p
+            odd_q = _prime_power_roots(delta, p, q, roots)
+            roots[m] = _crt(roots[m // q], m // q, odd_q, q)
+        if not roots[m]:
+            continue
+        two = [r for r in _prime_power_roots(delta, 2, 4 * low, roots) if r < 2 * low]
+        bs = sorted(r if r <= a else r - 2 * a for r in _crt(two, 2 * low, roots[m], m))
+        if a in bs:  # the root a is both ends of [-a, a]
+            bs.insert(0, -a)
+        for b in bs:
+            c = (b * b - delta) // (4 * a)
+            if c >= a:
+                yield QuadraticForm(a, b, c)
+
+
+def _enumerate(delta: int, keep, primitive_only: bool) -> list[QuadraticForm]:
+    validate_discriminant(delta)
+    if -delta > MAX_ABS_DELTA:
+        raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound 10^10")
+    forms = _candidates(delta)
+    return [f for f in forms if keep(f) and (not primitive_only or f.is_primitive())]
 
 
 def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
-    """All reduced forms of the given discriminant, sorted by (a, b, c)."""
-    validate_discriminant(delta)
-    out = [
-        f
-        for f in _candidates(delta)
-        if f.is_reduced() and (not primitive_only or f.is_primitive())
-    ]
-    return sorted(out)
+    """All reduced forms of the given discriminant, sorted by (a, b, c).
+
+    Raises ValueError when |delta| exceeds MAX_ABS_DELTA = 10^10.
+    """
+    return _enumerate(delta, QuadraticForm.is_reduced, primitive_only)
 
 
 def enumerate_almost_reduced(
     delta: int, primitive_only: bool = False
 ) -> list[QuadraticForm]:
     """Like enumerate_reduced but keeping both boundary mirrors."""
-    validate_discriminant(delta)
-    out = [
-        f
-        for f in _candidates(delta)
-        if f.is_almost_reduced() and (not primitive_only or f.is_primitive())
-    ]
-    return sorted(out)
+    return _enumerate(delta, QuadraticForm.is_almost_reduced, primitive_only)
 
 
 def class_number(delta: int) -> int:
-    """h(delta): the number of primitive reduced forms."""
+    """h(delta): the number of primitive reduced forms; |delta| <= 10^10."""
     return len(enumerate_reduced(delta, primitive_only=True))
 
 
 def almost_reduced_count(delta: int) -> int:
-    """Count of almost reduced forms, primitivity not required."""
+    """Count of almost reduced forms, primitivity not required; |delta| <= 10^10."""
     return len(enumerate_almost_reduced(delta))

@@ -62,6 +62,34 @@ def legendre(value: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, or None for a non-residue.
+
+    Tonelli-Shanks, in one power when p = 3 (mod 4). p is taken to be prime
+    and is not tested.
+    """
+    n %= p
+    if pow(n, (p - 1) // 2, p) > 1:
+        return None
+    if n == 0 or p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def quadratic_residues(p: int) -> set[int]:
     """The (p - 1)/2 nonzero squares mod p."""
     _require_odd_prime(p)

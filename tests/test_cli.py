@@ -114,6 +114,10 @@ def test_domain_errors_exit_one():
             ["class-number", "-6"],
             "error: invalid discriminant -6: need delta < 0 and delta = 0 or 1 (mod 4)\n",
         ),
+        (
+            ["class-number", "-400000000000003"],
+            "error: |delta| = 400000000000003 exceeds the enumeration bound 10^10\n",
+        ),
         (["orbit", "1/2/5", "--depth", "99"], "error: depth 99 exceeds the configured maximum 12\n"),
         (["legendre", "1", "9"], "error: 9 is not an odd prime\n"),
         (

@@ -1,8 +1,12 @@
 """Listing reduced forms per discriminant; class numbers."""
 
 import random
+import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import (
     QuadraticForm,
@@ -31,6 +35,34 @@ def rectangle_scan(delta, predicate):
             if predicate(f):
                 out.append(f)
     return sorted(out)
+
+
+def box_scan(delta):
+    # the enumeration before root finding: every (a, b) of the right parity
+    # with |b| <= a <= sqrt(|delta|/3), keeping integral c >= a
+    out = []
+    a = 1
+    while 3 * a * a <= -delta:
+        for b in range(-a if (a + delta) % 2 == 0 else -a + 1, a + 1, 2):
+            num = b * b - delta
+            if num % (4 * a) == 0 and num // (4 * a) >= a:
+                out.append(QuadraticForm(a, b, num // (4 * a)))
+        a += 1
+    return out
+
+
+def admissible(delta):
+    return -2 * 10**5 <= delta <= -3 and delta % 4 in (0, 1)
+
+
+# discriminants up to 2*10^5, plus square-heavy ones (many roots mod 4a)
+square_heavy = st.builds(
+    lambda k, m: -4 * k * k * m, st.integers(1, 223), st.integers(1, 50)
+)
+two_three = st.builds(lambda i, j: -(2**i) * 3**j, st.integers(0, 17), st.integers(0, 11))
+discriminants = st.one_of(st.integers(-2 * 10**5, -3), square_heavy, two_three).filter(
+    admissible
+)
 
 
 def test_validate_discriminant():
@@ -134,3 +166,32 @@ def test_completeness_spot_checks():
         f = random_positive_definite(rng, max_coeff=40)
         reduced = reduce_form(f).reduced
         assert reduced in enumerate_reduced(f.discriminant())
+
+
+@settings(deadline=None)
+@given(discriminants)
+def test_root_enumeration_matches_box_scan(delta):
+    box = box_scan(delta)
+    for primitive_only in (False, True):
+        kept = [f for f in box if not primitive_only or f.is_primitive()]
+        assert enumerate_reduced(delta, primitive_only) == [
+            f for f in kept if f.is_reduced()
+        ]
+        assert enumerate_almost_reduced(delta, primitive_only) == [
+            f for f in kept if f.is_almost_reduced()
+        ]
+
+
+def test_enumeration_bound():
+    message = "|delta| = 10000000003 exceeds the enumeration bound 10^10"
+    fns = (class_number, enumerate_reduced, enumerate_almost_reduced, almost_reduced_count)
+    for fn in fns:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(-10000000003)
+
+
+def test_class_number_large_discriminant_fast():
+    # the (a, b) box has ~6.7*10^7 cells here; box_scan gives the same h in ~10 s
+    start = time.perf_counter()
+    assert class_number(-400000003) == 3172
+    assert time.perf_counter() - start < 2.0

@@ -12,6 +12,7 @@ from bqf import (
     scaled_form_criterion,
     scaled_representation_oracle,
 )
+from bqf.residues import sqrt_mod_prime
 
 
 def sieve_odd_primes(limit):
@@ -139,3 +140,18 @@ def test_witness_implies_criterion():
             r, t = witness
             assert r * r + p * t * t == v
             assert scaled_form_criterion(v, p) is True
+
+
+def test_sqrt_mod_prime():
+    primes = sieve_odd_primes(2000)
+    # both branches: one power (p = 3 mod 4) and Tonelli-Shanks (p = 1 mod 8 too)
+    assert any(p % 4 == 3 for p in primes) and any(p % 8 == 1 for p in primes)
+    for p in primes:
+        assert sqrt_mod_prime(0, p) == 0
+        for n in {r * r % p for r in range(1, p)}:
+            r = sqrt_mod_prime(n, p)
+            assert r * r % p == n
+            assert sqrt_mod_prime(n + 5 * p, p) in (r, p - r)
+        if p < 200:
+            for n in set(range(1, p)) - quadratic_residues(p):
+                assert sqrt_mod_prime(n, p) is None
