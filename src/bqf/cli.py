@@ -83,6 +83,15 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     return "\n".join(out) + "\n"
 
 
+def _fields(data: dict) -> str:
+    """One "key: value" line per field; '_' is written '-', booleans yes/no."""
+    yn = {True: "yes", False: "no"}
+    return "".join(
+        f"{key.replace('_', '-')}: {yn[v] if isinstance(v, bool) else v}\n"
+        for key, v in data.items()
+    )
+
+
 def _cmd_reduce(args) -> tuple[dict, str]:
     res = reduce_form(args.form)
     data = {
@@ -91,20 +100,15 @@ def _cmd_reduce(args) -> tuple[dict, str]:
         "witness": str(res.witness),
         "steps": res.steps,
     }
-    text = (
-        f"reduced: {data['reduced']}\nword: {data['word']}\n"
-        f"witness: {data['witness']}\nsteps: {data['steps']}\n"
-    )
-    return data, text
+    return data, _fields(data)
 
 
 def _cmd_equiv(args) -> tuple[dict, str]:
     g = equivalent(args.form, args.other, args.mode)
-    if g is None:
-        return {"equivalent": False}, "equivalent: no\n"
-    data = {"equivalent": True, "witness": str(g), "word": element_to_word(g)}
-    text = f"equivalent: yes\nwitness: {data['witness']}\nword: {data['word']}\n"
-    return data, text
+    data = {"equivalent": False}
+    if g is not None:
+        data = {"equivalent": True, "witness": str(g), "word": element_to_word(g)}
+    return data, _fields(data)
 
 
 def _cmd_class_number(args) -> tuple[dict, str]:
@@ -128,7 +132,7 @@ def _cmd_base_point(args) -> tuple[dict, str]:
 def _cmd_point_form(args) -> tuple[dict, str]:
     form, scale = form_from_point(args.point)
     data = {"form": str(form), "scale": str(scale)}
-    return data, f"form: {data['form']}\nscale: {data['scale']}\n"
+    return data, _fields(data)
 
 
 def _cmd_legendre(args) -> tuple[dict, str]:
@@ -153,16 +157,7 @@ def _cmd_check_t32(args) -> tuple[dict, str]:
         "depth": rep.depth,
         "consistent": rep.consistent,
     }
-    yn = {True: "yes", False: "no"}
-    text = (
-        f"alpha-form: {data['alpha_form']}\n"
-        f"beta-form: {data['beta_form']}\n"
-        f"forms-equivalent: {yn[rep.forms_equivalent]}\n"
-        f"reachable: {yn[rep.reachable]}\n"
-        f"depth: {rep.depth}\n"
-        f"consistent: {yn[rep.consistent]}\n"
-    )
-    return data, text
+    return data, _fields(data)
 
 
 def _cmd_plot(args) -> tuple[None, str]:
@@ -245,10 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from .forms import QuadraticForm
 from .points import AlgebraicPoint
 
-LETTERS = "RTUV"
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -115,6 +113,13 @@ def act_on_form(g: GroupElement, form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(aa, bb, cc)
 
 
+def _mobius(g: GroupElement, p: int, q: int, d: int) -> tuple[int, int, int]:
+    """The image of (p + sqrt(d))/q under g as an unnormalized triple."""
+    m = g.r * p + g.s * q
+    n = g.t * p + g.u * q
+    return m * n - g.r * g.t * d, n * n - g.t * g.t * d, q * q * d
+
+
 def act_on_point(g: GroupElement, z: AlgebraicPoint) -> AlgebraicPoint:
     """Exact Moebius action on upper-half-plane points.
 
@@ -123,10 +128,7 @@ def act_on_point(g: GroupElement, z: AlgebraicPoint) -> AlgebraicPoint:
     coefficient comes out as +q times the determinant squared, so both
     cases collapse to one integer formula.
     """
-    p, q, d = z.p, z.q, z.D
-    m = g.r * p + g.s * q
-    n = g.t * p + g.u * q
-    return AlgebraicPoint(m * n - g.r * g.t * d, n * n - g.t * g.t * d, q * q * d)
+    return AlgebraicPoint(*_mobius(g, z.p, z.q, z.D))
 
 
 def base_point_transform(g: GroupElement) -> GroupElement:
@@ -151,19 +153,17 @@ def word_to_element(word: str) -> GroupElement:
     return g
 
 
-# Two-letter words and what they rewrite to: R^2 = T^2 = U^3 = 1 with
-# V = U^2, and X R = R (R X R), which moves R left (R U R = T V T).
-_RELATIONS = {"RR": "", "TT": "", "UV": "", "VU": "", "UU": "V", "VV": "U",
-              "TR": "RT", "UR": "RTVT", "VR": "RTUT"}
+# Two-letter words and what they rewrite to: T^2 = U^3 = 1 with V = U^2.
+_RELATIONS = {"TT": "", "UV": "", "VU": "", "UU": "V", "VV": "U"}
 
 
 def _rewrite(chunks: Sequence[str]) -> str:
     """Normal form of the concatenated chunks: the one word rewriter.
 
-    A chunk is a normal word with no R after its first letter, such as a
-    single letter, (TU)^m, (VT)^m or T. Relations apply only where a chunk
-    meets the word so far; once one of its letters lands, the rest is kept
-    as one slice, parts[k][:ends[k]]. Cancelling trims an end index.
+    A chunk is an R-free normal word, such as a single letter, (TU)^m,
+    (VT)^m or T. Relations apply only where a chunk meets the word so far;
+    once one of its letters lands, the rest is kept as one slice,
+    parts[k][:ends[k]]. Cancelling trims an end index.
     """
     parts: list[str] = []
     ends: list[int] = []
@@ -186,19 +186,9 @@ def _rewrite(chunks: Sequence[str]) -> str:
 
 
 def normalize_word(word: str) -> str:
-    """Rewrite a word to canonical form using the defining relations.
-
-    R^2, T^2 and U^3 collapse to the empty word; R commutes with T and
-    conjugates U, V to the parabolic words T V T, T U T, so it bubbles to
-    the front. The result has at most one R, in front, followed by letters
-    alternating between T and {U, V}; it is the unique such word for the
-    element. Each letter goes through the same rewriter that assembles
-    element_to_word's words from syllables.
-    """
-    rest = word.rstrip(LETTERS)  # ends in the last letter that is not a generator
-    if rest:
-        raise ValueError(f"unknown generator letter {rest[-1]!r}")
-    return _rewrite(word)
+    """The unique normal word of the element that word multiplies out to:
+    at most one R, in front, then letters alternating between T and {U, V}."""
+    return element_to_word(word_to_element(word))
 
 
 def element_to_word(g: GroupElement) -> str:
@@ -212,10 +202,10 @@ def element_to_word(g: GroupElement) -> str:
     bigint operations plus one join of the output's length.
     """
     r, s, t, u = g.r, g.s, g.t, g.u
-    chunks: list[str] = []
-    if g.det == -1:
-        chunks.append("R")
+    lead = "R" if g.det == -1 else ""
+    if lead:
         t, u = -t, -u  # R g
+    chunks: list[str] = []
     while t != 0:
         q = r // t
         m = q if abs(r - q * t) <= abs(r - (q + 1) * t) else q + 1
@@ -224,4 +214,4 @@ def element_to_word(g: GroupElement) -> str:
         r, s, t, u = -t, -u, r - m * t, s - m * u  # T (z -> z - m) g
     # ru = 1 leaves the translation z -> z + s/u
     chunks.append(_translation_word(s * u))
-    return _rewrite(chunks)
+    return lead + _rewrite(chunks)

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import QuadraticForm
-from .group import GroupElement, generator_element
+from .group import GroupElement, _mobius, generator_element
 from .points import AlgebraicPoint
 from .reduction import equivalent
+
+MAX_ORBIT_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -98,22 +100,16 @@ def act(g: GroupElement, alpha: QuadFieldElement) -> QuadFieldElement:
     """
     if g.det == -1:
         raise ValueError("the quadratic irrational action is restricted to determinant +1")
-    a, c, n = alpha.a, alpha.c, alpha.n
-    m = g.r * a + g.s * c
-    k = g.t * a + g.u * c
-    top = m * k + g.r * g.t * n
-    bottom = k * k + g.t * g.t * n
-    return QuadFieldElement(top // c, bottom // c, n)
+    top, bottom, _ = _mobius(g, alpha.a, alpha.c, -alpha.n)
+    return QuadFieldElement(top // alpha.c, bottom // alpha.c, alpha.n)
 
 
-def orbit_explore(
-    alpha: QuadFieldElement, depth: int, max_depth: int = 12
-) -> set[QuadFieldElement]:
+def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:
     """Breadth-first orbit over generator words in T, U, U^2 up to depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the configured maximum {max_depth}")
+    if depth > MAX_ORBIT_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the configured maximum {MAX_ORBIT_DEPTH}")
     gens = [generator_element(ch) for ch in "TUV"]
     seen = {alpha}
     frontier = [alpha]

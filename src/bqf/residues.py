@@ -26,6 +26,8 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
+# cached so legendre sweeps over one p, and is_prime(p) after them, test p once
+@functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Miller-Rabin: deterministic below 2^64, else 40 extra rounds with
     bases seeded from n (error below 2^-80)."""
@@ -46,8 +48,6 @@ def is_prime(n: int) -> bool:
     )
 
 
-# cached so sweeps over many values of the same p validate p only once
-@functools.lru_cache(maxsize=4096)
 def _require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")

@@ -12,6 +12,7 @@ from bqf import (
     scaled_form_criterion,
     scaled_representation_oracle,
 )
+from bqf import residues
 from bqf.residues import sqrt_mod_prime
 
 
@@ -36,6 +37,19 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2**89 - 1)       # Mersenne prime
     assert not is_prime(2**67 - 1)   # 193707721 * 761838257287
     assert is_prime(2**127 - 1)      # beyond the deterministic witness range
+
+
+def test_prime_validated_once(monkeypatch):
+    # legendre validates p; a later is_prime(p) reuses that Miller-Rabin run
+    calls = []
+    real = residues._miller_rabin
+    monkeypatch.setattr(residues, "_miller_rabin", lambda n, b: calls.append(n) or real(n, b))
+    p = 2**107 - 1  # a Mersenne prime no other test validates
+    assert legendre(-23, p) in (-1, 1)
+    validated = len(calls)
+    assert validated > 0
+    assert is_prime(p)
+    assert len(calls) == validated
 
 
 def test_legendre_examples():
