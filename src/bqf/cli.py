@@ -9,6 +9,7 @@ success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,6 +93,11 @@ def _fields(data: dict) -> str:
     )
 
 
+def _listing(names: list[str], label: str) -> str:
+    """One name per line, then "label=count"."""
+    return "".join(f"{name}\n" for name in names) + f"{label}={len(names)}\n"
+
+
 def _cmd_reduce(args) -> tuple[dict, str]:
     res = reduce_form(args.form)
     data = {
@@ -120,8 +126,7 @@ def _cmd_enumerate(args) -> tuple[dict, str]:
     fn = enumerate_almost_reduced if args.almost else enumerate_reduced
     forms = fn(args.delta, primitive_only=args.primitive)
     names = [str(f) for f in forms]
-    text = "".join(f"{name}\n" for name in names) + f"h={len(names)}\n"
-    return {"forms": names, "h": len(names)}, text
+    return {"forms": names, "h": len(names)}, _listing(names, "h")
 
 
 def _cmd_base_point(args) -> tuple[dict, str]:
@@ -143,8 +148,7 @@ def _cmd_legendre(args) -> tuple[dict, str]:
 def _cmd_orbit(args) -> tuple[dict, str]:
     orbit = orbit_explore(args.element, args.depth)
     names = [str(e) for e in sorted(orbit, key=lambda e: (e.a, e.c))]
-    text = "".join(f"{name}\n" for name in names) + f"count={len(names)}\n"
-    return {"elements": names, "count": len(names)}, text
+    return {"elements": names, "count": len(names)}, _listing(names, "count")
 
 
 def _cmd_check_t32(args) -> tuple[dict, str]:
@@ -228,8 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         data, text = args.handler(args)
         out_path = getattr(args, "out", "-")

@@ -7,43 +7,65 @@ ever leaving integer/rational arithmetic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import QuadraticForm
+from .residues import is_prime
 
 
-def _strip_square_factors(p: int, q: int, d: int) -> tuple[int, int, int]:
-    # Divide p, q by a prime f whenever f*f also divides d; the endpoint
-    # of this greedy loop is the unique minimal representative.
+TRIAL_BOUND = 1 << 16  # primes up to it are trial-divided; see AlgebraicPoint
+
+
+@functools.cache
+def _prime_sieve() -> bytes:
+    sieve = bytearray([0, 0]) + bytearray([1]) * (TRIAL_BOUND - 1)
+    for f in range(2, math.isqrt(TRIAL_BOUND) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes((TRIAL_BOUND - f * f) // f + 1)
+    return bytes(sieve)
+
+
+def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     g = math.gcd(p, q)
-    f = 2
-    while f * f <= g:
-        if g % f == 0:
-            ff = f * f
-            while g % f == 0 and d % ff == 0:
-                p //= f
-                q //= f
-                d //= ff
-                g //= f
-            while g % f == 0:
-                g //= f
-        f += 1
-    if g > 1 and d % (g * g) == 0:
-        p //= g
-        q //= g
-        d //= g * g
-    return p, q, d
+    if g == 1:  # nothing can be stripped, so this is the minimal triple
+        return p, q, d
+    den_re = q // g
+    h = math.gcd(d, q * q)  # Im^2 = -(d/h) / (q^2/h) in lowest terms
+    m = q * q // h
+    rest = m // math.gcd(m, den_re * den_re)  # M'
+    k = 1
+    if not is_prime(rest):
+        for f in itertools.compress(range(TRIAL_BOUND + 1), _prime_sieve()):
+            if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
+                break
+            if rest % f == 0:
+                while rest % f == 0:  # one f in k per f^2, or last lone f, stripped
+                    rest //= f * f if rest % (f * f) == 0 else f
+                    k *= f
+                if is_prime(rest):
+                    break
+    r = math.isqrt(rest)
+    k *= r if r * r == rest else rest
+    new_q = den_re * k
+    return p // g * k, new_q, d // h * (new_q * new_q // m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AlgebraicPoint:
     """The point (p + sqrt(D))/q with D < 0 and q > 0, so Im > 0 always.
 
-    Stored triples are normalized (square factors common to p, q, D
-    stripped); equality and hashing go through the exact rational pair
-    (Re, |z|^2) and are therefore representation independent.
+    The stored triple depends only on the point, so equality and hashing
+    compare fields. With Re = P/Q and Im^2 = -N/M in lowest terms it is
+    (P*k, Q*k, N*(Q*k)^2/M) for the least k with M' | k^2, M' = M/gcd(M, Q^2).
+    k comes from trial division of M' by the primes up to TRIAL_BOUND = 2^16,
+    stopped once the cofactor C is 1, prime or below f^3; C then adds isqrt(C)
+    if it is a square, else C. The triple is minimal when the loop stops
+    early, so for every M' <= 2^48; past that, C = l^2*m with primes l, m
+    above 2^16 gives a canonical but not minimal q. gcd(p, q) = 1 is kept.
     """
 
     p: int
@@ -55,7 +77,7 @@ class AlgebraicPoint:
             raise ValueError("denominator q must be positive")
         if self.D >= 0:
             raise ValueError("radicand D must be negative")
-        p, q, d = _strip_square_factors(self.p, self.q, self.D)
+        p, q, d = _normalize(self.p, self.q, self.D)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "D", d)
@@ -78,17 +100,6 @@ class AlgebraicPoint:
 
     def abs_sq(self) -> Fraction:
         return Fraction(self.p * self.p - self.D, self.q * self.q)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraicPoint):
-            return NotImplemented
-        return (
-            self.p * other.q == other.p * self.q
-            and self.D * other.q * other.q == other.D * self.q * self.q
-        )
-
-    def __hash__(self) -> int:
-        return hash((Fraction(self.p, self.q), Fraction(self.D, self.q * self.q)))
 
 
 def base_point(form: QuadraticForm) -> AlgebraicPoint:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from bqf import cli
 from bqf.cli import main, render_region_svg
 from bqf.points import AlgebraicPoint
 
@@ -148,6 +149,24 @@ def test_usage_errors_exit_two():
         code, out, err = run(argv)
         assert code == 2, argv
         assert "usage:" in err
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    # main keeps one parser; calls after other verbs and after a usage
+    # error must behave exactly as on a parser built fresh for each call
+    argvs = [
+        ["reduce", "11,49,55"],
+        ["enumerate", "-20", "--primitive", "--format", "json"],
+        ["equiv", "1,0,1"],
+        ["orbit", "1/2/5", "--depth", "2"],
+    ]
+    reused = [run(argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = [run(argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
 
 
 def test_plot_svg_structure():

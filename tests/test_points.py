@@ -1,18 +1,26 @@
 """Exact upper-half-plane points and the base-point correspondence."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import (
     AlgebraicPoint,
+    GroupElement,
     QuadraticForm,
+    act_on_form,
     act_on_point,
     base_point,
+    base_point_transform,
     form_from_point,
     in_fundamental_domain_pi,
     in_fundamental_domain_pibar,
+    reduce_form,
 )
 
 from helpers import random_element, random_positive_definite
@@ -25,6 +33,30 @@ def moebius_oracle(g, z):
     den = (g.t * x + g.u) ** 2 + g.t * g.t * y2
     wx = ((g.r * x + g.s) * (g.t * x + g.u) + g.r * g.t * y2) / den
     return wx, y2 / den**2
+
+
+def greedy_normalize(p, q, d):
+    # the minimal triple by trial division of gcd(p, q) up to its square
+    # root: exact, but exponential in the bit length
+    g = math.gcd(p, q)
+    f = 2
+    while f * f <= g:
+        if g % f == 0:
+            while g % f == 0 and d % (f * f) == 0:
+                p, q, d, g = p // f, q // f, d // (f * f), g // f
+            while g % f == 0:
+                g //= f
+        f += 1
+    if g > 1 and d % (g * g) == 0:
+        p, q, d = p // g, q // g, d // (g * g)
+    return p, q, d
+
+
+def triple(z):
+    return z.p, z.q, z.D
+
+
+M61, M89 = 2**61 - 1, 2**89 - 1  # Mersenne primes
 
 
 def test_construction_normalizes():
@@ -90,6 +122,78 @@ def test_normalized_triple_is_canonical():
         w = AlgebraicPoint(k * p, k * q, k * k * d)
         assert z == w
         assert (z.p, z.q, z.D) == (w.p, w.q, w.D)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+    st.integers(-(10**6), -1),
+    st.integers(1, 1000),
+)
+def test_normalization_matches_greedy_oracle(p, q, d, k):
+    for args in ((p, q, d), (k * p, k * q, k * k * d)):
+        assert triple(AlgebraicPoint(*args)) == greedy_normalize(*args)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+    st.integers(-(10**6), -1),
+    st.sampled_from([M61, M89, M61 * M89, M61 * M61]),
+)
+def test_normalized_triple_ignores_large_prime_scale(p, q, d, k):
+    z = AlgebraicPoint(p, q, d)
+    assert triple(AlgebraicPoint(k * p, k * q, k * k * d)) == triple(z)
+
+
+def test_normalization_beyond_trial_bound_is_canonical():
+    # M' = l^2 * m with primes l, m > 2^16 is past the bound: the rule keeps
+    # q = l^2 * m where the minimal triple, (0, l*m, -m), has q = l*m
+    ell, m = 2**20 - 3, 2**20 - 5
+    z = AlgebraicPoint(0, ell * m, -m)
+    assert triple(z) == (0, ell * ell * m, -ell * ell * m)
+    assert (z.re(), z.im_sq()) == (0, Fraction(1, ell * ell * m))
+    for k in (3, ell, M61):
+        assert triple(AlgebraicPoint(0, k * ell * m, -k * k * m)) == triple(z)
+    assert z == AlgebraicPoint(0, ell * m, -m)
+    assert base_point(form_from_point(z)[0]) == z
+
+
+def _within_a_second(fn):
+    start = time.perf_counter()
+    result = fn()
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+def test_base_point_of_100_bit_prime_form_is_fast():
+    p = 2**100 - 15  # prime
+    z = _within_a_second(lambda: base_point(QuadraticForm(p, p, p + 1)))
+    assert triple(z) == (p, 2 * p, -3 * p * p - 4 * p)
+
+
+def test_act_on_point_with_300_bit_witness_is_fast():
+    rng = random.Random(0x76)
+    r, s, t, u = 1, 0, 0, 1
+    while max(abs(r), abs(s), abs(t), abs(u)).bit_length() < 300:
+        for _ in range(2):  # two continued-fraction steps keep det = +1
+            a = rng.randint(1, 3)
+            r, s, t, u = r * a + s, r, t * a + u, t
+    form = act_on_form(GroupElement(r, s, t, u), QuadraticForm(1, 1, 6))
+    assert max(form.a, abs(form.b), form.c).bit_length() >= 300
+    res = reduce_form(form)
+    g = base_point_transform(res.witness)
+    w = _within_a_second(lambda: act_on_point(g, base_point(form)))
+    assert w == base_point(res.reduced)
+
+
+def test_trial_loop_worst_case_is_fast():
+    # M' = l * m with two 40-bit primes: no early stop, every prime <= 2^16 tried
+    ell, m = 2**40 - 87, 2**40 - 167
+    z = _within_a_second(lambda: AlgebraicPoint(0, ell * m, -ell * m))
+    assert triple(z) == (0, ell * m, -ell * m)
 
 
 def test_base_point_examples():
