@@ -16,7 +16,6 @@ the diagonal conjugate returned by base_point_transform.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .forms import QuadraticForm
@@ -74,6 +73,8 @@ V = GroupElement(-1, -1, 1, 0)  # U^2
 R = GroupElement(1, 0, 0, -1)   # z -> -conj(z)
 
 _GENERATORS = {"R": R, "T": T, "U": U, "V": V}
+
+MAX_WORD_LETTERS = 10**8  # longest word element_to_word writes
 
 
 def generator_element(letter: str) -> GroupElement:
@@ -140,49 +141,12 @@ def base_point_transform(g: GroupElement) -> GroupElement:
     return GroupElement(g.r, -g.s, -g.t, g.u)
 
 
-def _translation_word(m: int) -> str:
-    # TU is the translation z -> z + 1, VT its inverse.
-    return "TU" * m if m >= 0 else "VT" * (-m)
-
-
 def word_to_element(word: str) -> GroupElement:
     """Multiply out a word over R, T, U, V left to right."""
     g = IDENTITY
     for ch in word:
         g = compose(g, generator_element(ch))
     return g
-
-
-# Two-letter words and what they rewrite to: T^2 = U^3 = 1 with V = U^2.
-_RELATIONS = {"TT": "", "UV": "", "VU": "", "UU": "V", "VV": "U"}
-
-
-def _rewrite(chunks: Sequence[str]) -> str:
-    """Normal form of the concatenated chunks: the one word rewriter.
-
-    A chunk is an R-free normal word, such as a single letter, (TU)^m,
-    (VT)^m or T. Relations apply only where a chunk meets the word so far;
-    once one of its letters lands, the rest is kept as one slice,
-    parts[k][:ends[k]]. Cancelling trims an end index.
-    """
-    parts: list[str] = []
-    ends: list[int] = []
-    todo = [(chunk, 0) for chunk in reversed(chunks)]  # (chunk, next letter)
-    while todo:
-        chunk, i = todo.pop()
-        if i == len(chunk):
-            continue
-        repl = _RELATIONS.get(parts[-1][ends[-1] - 1] + chunk[i]) if parts else None
-        if repl is None:
-            parts.append(chunk[i:])
-            ends.append(len(chunk) - i)
-            continue
-        ends[-1] -= 1
-        if not ends[-1]:
-            parts.pop()
-            ends.pop()
-        todo += (chunk, i + 1), (repl, 0)
-    return "".join(p[:e] for p, e in zip(parts, ends))
 
 
 def normalize_word(word: str) -> str:
@@ -192,26 +156,38 @@ def normalize_word(word: str) -> str:
 
 
 def element_to_word(g: GroupElement) -> str:
-    """Express g as a normalized word in the generators.
+    """Express g as its normal word in the generators.
 
-    A determinant -1 element gets a leading R; the rotation part is
-    decomposed by nearest-integer Euclidean descent on the bottom row,
-    one syllable per quotient: a translation (TU)^m or (VT)^-m, then an
-    inversion T, until the row is (0, +-1). The word is assembled from
-    these syllables, rewriting only where two meet, so it costs O(steps)
-    bigint operations plus one join of the output's length.
+    A determinant -1 element gets a leading R. The rest is x w y with
+    x in {"", U, V}, y in {"", T} and w a word in TU = (1 1 / 0 1) and
+    TV = (1 0 / 1 1), which freely generate the nonnegative matrices of
+    SL(2, Z); so exactly one x^-1 g y^-1 is +- a nonnegative matrix. Its
+    runs (TU)^k (TV)^j come from the floor-division Euclidean algorithm on
+    its rows: O(log) bigint steps, and the letter count follows from the
+    runs before any letter is written. Raises ValueError when the word
+    would exceed MAX_WORD_LETTERS = 10^8 letters.
     """
     r, s, t, u = g.r, g.s, g.t, g.u
     lead = "R" if g.det == -1 else ""
     if lead:
         t, u = -t, -u  # R g
-    chunks: list[str] = []
-    while t != 0:
-        q = r // t
-        m = q if abs(r - q * t) <= abs(r - (q + 1) * t) else q + 1
-        chunks.append(_translation_word(m))
-        chunks.append("T")
-        r, s, t, u = -t, -u, r - m * t, s - m * u  # T (z -> z - m) g
-    # ru = 1 leaves the translation z -> z + s/u
-    chunks.append(_translation_word(s * u))
-    return lead + _rewrite(chunks)
+    x, y, m = next(
+        (x, y, m)
+        for y, (r, s, t, u) in (("", (r, s, t, u)), ("T", (s, -r, u, -t)))  # g y^-1
+        for x, m in (  # x^-1 g y^-1
+            ("", (r, s, t, u)), ("U", (-r - t, -s - u, r, s)), ("V", (-t, -u, r + t, s + u))
+        )
+        if min(m) >= 0 or max(m) <= 0
+    )
+    a, b, c, d = map(abs, m)
+    runs = []
+    while b or c:  # a, d >= 1 throughout
+        k = b // d  # (TU)^-k takes the bottom row off the top k times
+        a, b = a - k * c, b - k * d
+        j = c // a  # (TV)^-j takes the top row off the bottom j times
+        c, d = c - j * a, d - j * b
+        runs.append((k, j))
+    letters = len(lead + x + y) + 2 * sum(k + j for k, j in runs)
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"word of {letters} letters exceeds the word bound 10^8")
+    return lead + x + "".join("TU" * k + "TV" * j for k, j in runs) + y

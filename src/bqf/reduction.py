@@ -14,9 +14,9 @@ class ReductionResult:
 
     act_on_form(witness, original) == reduced, word multiplies out to
     witness mod sign, steps counts elementary moves. The word is
-    element_to_word(witness), assembled from syllables: reduction costs
-    O(steps) bigint operations plus one join of the word's length, so the
-    2*10^7-letter word of [1, 2*10^7, 10^14 + 1] takes tens of ms.
+    element_to_word(witness), read off the witness as runs (TU)^k (TV)^j
+    by a Euclidean algorithm on its rows; reduce_form raises ValueError
+    when it would exceed MAX_WORD_LETTERS = 10^8 letters.
     """
 
     reduced: QuadraticForm

@@ -90,10 +90,17 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-def quadratic_residues(p: int) -> set[int]:
-    """The (p - 1)/2 nonzero squares mod p."""
+@functools.lru_cache(maxsize=1)
+def quadratic_residues(p: int) -> frozenset[int]:
+    """The (p - 1)/2 nonzero squares mod p, for an odd prime p <= 10^6.
+
+    The set is built in full, so a larger p raises ValueError. The last
+    set is cached: a loop over the residues of one p builds it once.
+    """
+    if p > 10**6:
+        raise ValueError(f"p = {p} exceeds the residue-set bound 10^6")
     _require_odd_prime(p)
-    return {r * r % p for r in range(1, (p - 1) // 2 + 1)}
+    return frozenset(r * r % p for r in range(1, (p - 1) // 2 + 1))
 
 
 def residue_complement_law(p: int, a: int) -> bool:

@@ -109,6 +109,8 @@ def test_text_json_agree_on_reduce():
 
 
 def test_domain_errors_exit_one():
+    wide = "1,2000000000000,1000000000000000000000001"  # translation by 10^12
+    refused = "error: word of 2000000000000 letters exceeds the word bound 10^8\n"
     cases = [
         (["reduce", "1,3,1"], "error: only positive definite forms can be reduced\n"),
         (
@@ -124,6 +126,13 @@ def test_domain_errors_exit_one():
         (
             ["check-t32", "0/1/5", "0/1/1", "--depth", "2"],
             "error: elements lie over different n\n",
+        ),
+        (["reduce", wide], refused),
+        (["equiv", wide, "1,0,1"], refused),
+        (["equiv", "1,0,1", wide], refused),
+        (
+            ["reduce", "1,200000000,10000000000000001"],
+            "error: word of 200000000 letters exceeds the word bound 10^8\n",
         ),
         (["plot", "1,3,1"], "error: base point defined only for positive definite forms\n"),
         (

@@ -26,15 +26,22 @@ from bqf import (
     normalize_word,
     word_to_element,
 )
-from bqf.group import _rewrite
+from bqf.group import MAX_WORD_LETTERS
 
 from helpers import random_element, random_positive_definite
 
 
 @st.composite
 def normal_chunks(draw):
-    """An R-free normal word: letters alternating between T and {U, V}."""
-    body = "T".join(draw(st.lists(st.sampled_from("UV"), max_size=12)))
+    """An R-free normal word: letters alternating between T and {U, V}.
+
+    A same-letter run of up to 50 U or V at each end of the random middle
+    gives long (TU)^k and (TV)^k runs at both ends of the word.
+    """
+    run = st.tuples(st.sampled_from("UV"), st.integers(0, 50))
+    (head, i), (tail, k) = draw(run), draw(run)
+    middle = draw(st.lists(st.sampled_from("UV"), max_size=12))
+    body = "T".join([head] * i + middle + [tail] * k)
     if not body:
         return draw(st.sampled_from(("", "T")))
     return draw(st.sampled_from(("", "T"))) + body + draw(st.sampled_from(("", "T")))
@@ -265,17 +272,18 @@ def test_element_to_word_round_trip():
     assert element_to_word(GroupElement(1, 5, 0, 1)) == "TUTUTUTUTU"
 
 
+def test_word_bound_counts_every_letter():
+    m = MAX_WORD_LETTERS // 2
+    for g, letters in ((GroupElement(1, m + 1, 0, 1), 2 * m + 2),  # (TU)^(m+1)
+                       (GroupElement(-1, m, 0, 1), 2 * m + 1)):  # R V (TV)^(m-1) T
+        with pytest.raises(ValueError) as err:
+            element_to_word(g)
+        assert str(err.value) == f"word of {letters} letters exceeds the word bound 10^8"
+
+
 @settings(deadline=None)
 @given(st.booleans(), normal_chunks())
 def test_normal_form_is_unique(lead_r, body):
     # every normal-shape word is the normal word of its own element
     n = "R" * lead_r + body
     assert element_to_word(word_to_element(n)) == n
-
-
-@settings(deadline=None)
-@given(st.booleans(), st.lists(normal_chunks(), max_size=8))
-def test_rewriter_matches_normalize_word(lead_r, chunks):
-    # rewriting where chunks meet gives the letter-by-letter normal form
-    chunks = ["R"] * lead_r + chunks
-    assert _rewrite(chunks) == normalize_word("".join(chunks))

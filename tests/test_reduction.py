@@ -120,6 +120,21 @@ def test_equivalent_wide_builds_no_word():
     assert elapsed < 1.0
 
 
+def test_word_bound_refuses_huge_translation():
+    huge = QuadraticForm(1, 2 * 10**300, 10**600 + 1)  # one translation by 10^300
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        reduce_form(huge)
+    elapsed = time.perf_counter() - t0
+    assert str(err.value) == f"word of {2 * 10**300} letters exceeds the word bound 10^8"
+    assert elapsed < 0.01
+    t0 = time.perf_counter()
+    g = equivalent(huge, QuadraticForm(1, 0, 1))
+    elapsed = time.perf_counter() - t0
+    assert act_on_form(g, QuadraticForm(1, 0, 1)) == huge
+    assert elapsed < 0.01
+
+
 def test_reduction_is_idempotent_on_classes():
     rng = random.Random(0xD1)
     for _ in range(300):

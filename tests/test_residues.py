@@ -73,6 +73,14 @@ def test_quadratic_residue_tables():
     assert quadratic_residues(13) == {1, 3, 4, 9, 10, 12}
 
 
+def test_quadratic_residues_bound():
+    assert len(quadratic_residues(999983)) == 499991  # the largest prime below 10^6
+    assert quadratic_residues(999983) is quadratic_residues(999983)
+    for p in (1000003, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"p = \d+ exceeds the residue-set bound 10\^6"):
+            quadratic_residues(p)
+
+
 def test_residue_set_sizes():
     for p in sieve_odd_primes(1000):
         assert len(quadratic_residues(p)) == (p - 1) // 2
