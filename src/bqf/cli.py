@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
+from operator import itemgetter
 
 from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduced
 from .forms import QuadraticForm
@@ -41,10 +44,33 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
+def _plot_order(points: list[AlgebraicPoint]) -> Iterator[tuple[float, AlgebraicPoint]]:
+    """(float Re, point) pairs in exact (Re, |z|^2) order.
+
+    Correctly rounded floats of Re are monotone, so distinct ones already
+    agree with that order; only runs of equal floats are sorted by Fractions.
+    An Re past the float range keys as ±inf, tying with the others there.
+    """
+    keyed = []
+    for z in points:
+        try:
+            keyed.append((z.p / z.q, z))
+        except OverflowError:
+            keyed.append((math.inf if z.p > 0 else -math.inf, z))
+    keyed.sort(key=itemgetter(0))
+    for _, run in itertools.groupby(keyed, key=itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda pair: (pair[1].re(), pair[1].abs_sq()))
+        yield from run
+
+
 def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     """Deterministic SVG: region boundary plus one marker per point.
 
-    Floats appear only here, rounded to six decimals at render time.
+    Markers come in exact (Re, |z|^2) order: correctly rounded floats decide
+    it where they differ, Fractions where they tie. Floats appear only here,
+    rounded to six decimals at render time.
     """
     if region not in ("pi", "pibar"):
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
@@ -72,13 +98,14 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     out.append('<path d="M ' + " L ".join(steps) + '"/>')
     out.append("</g>")
     out.append('<g fill="#335577">')
-    for z in sorted(points, key=lambda w: (w.re(), w.abs_sq())):
+    for x, z in _plot_order(points):
         try:
-            cx = _sx(z.p / z.q)
+            if math.isinf(x):
+                raise OverflowError
             cy = _sy(math.sqrt(-z.D) / z.q)
         except OverflowError:
             raise ValueError(f"point {z} does not fit in a float") from None
-        out.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="4"/>')
+        out.append(f'<circle cx="{_f(_sx(x))}" cy="{_f(cy)}" r="4"/>')
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -2,9 +2,14 @@
 
 import io
 import json
+import math
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import cli
 from bqf.cli import main, render_region_svg
@@ -139,12 +144,85 @@ def test_domain_errors_exit_one():
             ["plot", "--points", "1,1,-1" + "0" * 400],
             "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
         ),
+        (  # Re = 10^400 overflows first, but Re = 1 comes first in exact order
+            ["plot", "--points", "1" + "0" * 400 + ",1,-1", "1,1,-1" + "0" * 400],
+            "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
+        ),
     ]
     for argv, want in cases:
         code, out, err = run(argv)
         assert code == 1, argv
         assert out == ""
         assert err == want, argv
+
+
+# positionals per verb: "i" an int, "f" a form a,b,c, "p" a point p,q,D,
+# "e" an element a/c/n; each drawn valid or as three arbitrary ints
+SHAPES = {"reduce": "f", "equiv": "ff", "class-number": "i", "enumerate": "i",
+          "base-point": "f", "point-form": "p", "legendre": "ii", "orbit": "e",
+          "check-t32": "ee", "plot": "fff"}
+# every option but --out, which would write files; for the same reason no
+# drawn text contains "o", so nothing abbreviates it either
+FLAGS = (["--format", "json"], ["--format", "text"], ["--mode", "extended"], ["--almost"],
+         ["--primitive"], ["--points"], ["--region", "pibar"], ["-h"])
+TEXT = "0123456789-+,/ ._ejx\u0661\u00b2"
+FUZZ_SECONDS = 5  # the slowest verb at its documented bound takes about 1 s
+
+
+class CaseTimeout(Exception):
+    """Raised by the per-case alarm; not a ValueError or OSError, so main passes it on."""
+
+
+def _raise_timeout(signum, frame):
+    raise CaseTimeout(f"a CLI call took over {FUZZ_SECONDS} s")
+
+
+nums = st.one_of(
+    st.integers(-100, 100), st.integers(-(10**12), 10**12), st.integers(-(10**400), 10**400)
+)
+ints = nums.map(str)
+positive = st.integers(1, 100) | st.integers(1, 10**400)
+triples = st.lists(ints, min_size=3, max_size=3)
+
+
+def _definite(a, c, t):
+    r = math.isqrt(a * c)  # |b| <= r keeps b^2 < 4ac
+    return f"{a},{t % (2 * r + 1) - r},{c}"
+
+
+PARTS = {
+    "i": ints,
+    "f": triples.map(",".join) | st.builds(_definite, positive, positive, positive),
+    "p": triples.map(",".join) | st.builds("{},{},-{}".format, nums, positive, positive),
+    "e": triples.map("/".join)
+    | st.builds(lambda a, c, m: f"{a}/{c}/{c * m - a * a % c}", nums, positive, positive),
+}
+flags = st.just([]) | st.lists(
+    st.sampled_from(FLAGS) | ints.map(lambda d: ["--depth", d]), max_size=2
+)
+shaped = st.sampled_from(tuple(SHAPES)).flatmap(
+    lambda verb: st.tuples(st.tuples(*(PARTS[k] for k in SHAPES[verb])), flags).map(
+        lambda drawn: [verb, *drawn[0], *sum(drawn[1], [])]
+    )
+)
+noise = st.one_of(*PARTS.values(), st.sampled_from(sum(FLAGS, [])), st.text(TEXT, max_size=12))
+unshaped = st.tuples(
+    st.sampled_from(tuple(SHAPES)) | st.text(TEXT, max_size=8), st.lists(noise, max_size=4)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped | unshaped.map(lambda drawn: [drawn[0], *drawn[1]]))
+def test_cli_exit_contract(argv):
+    # 0, 1 or 2 on every input, never a traceback, and within the time bound
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    try:
+        code, _, _ = run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
 
 
 def test_usage_errors_exit_two():
@@ -221,6 +299,63 @@ def test_plot_out_unwritable_exits_one(tmp_path):
     code, out, err = run(["plot", "1,0,1", "--out", str(tmp_path / "no" / "dir.svg")])
     assert code == 1
     assert err.startswith("error: ")
+
+
+def fraction_order_svg(points, region):
+    """The plot as rendered by sorting on the exact Fraction key alone."""
+    head = render_region_svg([], region).removesuffix("</g>\n</svg>\n")
+    circles = []
+    for z in sorted(points, key=lambda w: (w.re(), w.abs_sq())):
+        try:
+            cx, cy = cli._sx(z.p / z.q), cli._sy(math.sqrt(-z.D) / z.q)
+        except OverflowError:
+            return f"point {z} does not fit in a float"
+        circles.append(f'<circle cx="{cli._f(cx)}" cy="{cli._f(cy)}" r="4"/>\n')
+    return head + "".join(circles) + "</g>\n</svg>\n"
+
+
+@st.composite
+def plot_points(draw):
+    q = 2**60 + draw(st.integers(0, 2**20))
+    kinds = st.one_of(
+        st.builds(
+            AlgebraicPoint, st.integers(-60, 60), st.integers(1, 30), st.integers(-500, -1)
+        ),
+        # p/q and (p + 1)/q round to one float near 1/3
+        st.builds(
+            lambda j, d: AlgebraicPoint(q // 3 + j, q, -d),
+            st.integers(0, 3),
+            st.integers(1, 10**40),
+        ),
+        # Re past the float range, either sign
+        st.builds(
+            lambda s, k, d: AlgebraicPoint(s * 10**400 + k, 1, -d),
+            st.sampled_from((-1, 1)),
+            st.integers(-2, 2),
+            st.integers(1, 5),
+        ),
+        # Im past the float range
+        st.builds(lambda p: AlgebraicPoint(p, 1, -(10**400)), st.integers(-2, 2)),
+    )
+    points = draw(st.lists(kinds, max_size=25))
+    if points:
+        same_re = st.builds(
+            lambda z, k: AlgebraicPoint(z.p, z.q, z.D * k),
+            st.sampled_from(points),
+            st.integers(2, 7),
+        )
+        points += draw(st.lists(st.sampled_from(points) | same_re, max_size=15))
+    return draw(st.permutations(points))
+
+
+@settings(deadline=None)
+@given(plot_points(), st.sampled_from(("pi", "pibar")))
+def test_plot_order_is_the_fraction_order(points, region):
+    try:
+        got = render_region_svg(points, region)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == fraction_order_svg(points, region)
 
 
 def test_render_rejects_unknown_region():

@@ -39,6 +39,18 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2**127 - 1)      # beyond the deterministic witness range
 
 
+def test_fixed_bases_are_a_proof_below_psi_12(monkeypatch):
+    psi_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)  # the seeded rounds above the bound catch it
+    calls = []
+    real = residues._miller_rabin
+    monkeypatch.setattr(residues, "_miller_rabin", lambda n, b: calls.append(b) or real(n, b))
+    p = 2**70 - 35  # a 70-bit prime no other test validates
+    assert is_prime(p)
+    assert calls == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
 def test_prime_validated_once(monkeypatch):
     # legendre validates p; a later is_prime(p) reuses that Miller-Rabin run
     calls = []
