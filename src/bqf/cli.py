@@ -192,6 +192,8 @@ def _cmd_check_t32(args) -> tuple[dict, str]:
 
 
 def _cmd_plot(args) -> tuple[None, str]:
+    if len(args.items) > _POINT_LIMIT:  # before any item is parsed
+        raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
     if args.points:
         markers = [AlgebraicPoint.parse(item) for item in args.items]
     else:

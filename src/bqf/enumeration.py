@@ -2,19 +2,20 @@
 
 A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and
 b^2 = delta (mod 4a). So for each a <= sqrt(|delta|/3) the b to try are the
-roots of that congruence, found with one smallest-prime-factor sieve,
-Tonelli-Shanks, lifting to prime powers and the CRT: O(sqrt|delta|) values
-of a with a few roots each, not the ~|delta|/6 cells of the (a, b) box.
-|delta| is capped at MAX_ABS_DELTA = 10^10 (under a second); above it the
-functions raise ValueError.
+roots of that congruence, found by factoring a with the one prime table
+residues.smallest_prime_factors() (2^16 > sqrt(10^10/3)), Tonelli-Shanks,
+lifting to prime powers and the CRT: O(sqrt|delta|) values of a with a few
+roots each, not the ~|delta|/6 cells of the (a, b) box. The walk yields
+exactly the (a, b, c) asked for; counts build no form. |delta| is capped at
+MAX_ABS_DELTA = 10^10 (under a second); above it the functions raise ValueError.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .forms import QuadraticForm
-from .residues import sqrt_mod_prime
+from .residues import smallest_prime_factors, sqrt_mod_prime
 
 MAX_ABS_DELTA = 10**10
 
@@ -51,20 +52,19 @@ def _crt(rs: list[int], m: int, ss: list[int], q: int) -> list[int]:
     return [r + m * ((s - r) * inv % q) for r in rs for s in ss]
 
 
-def _candidates(delta: int):
-    # almost-reduced forms [a, b, c] of discriminant delta, in (a, b) order.
-    # b^2 = delta (mod 4a) depends on b mod 2a only; with a = 2^j m, m odd,
-    # its roots mod 2a are the CRT of those mod 2^(j+1) and those mod m.
-    a_max = isqrt(-delta // 3)
-    spf = list(range(a_max + 1))  # smallest prime factors: the last write wins
-    for i in range(isqrt(a_max), 1, -1):
-        spf[i * i :: i] = [i] * ((a_max - i * i) // i + 1)
+def _candidates(delta: int, almost: bool) -> list[tuple[int, int, int]]:
+    # reduced (a, b, c), or almost-reduced ones, in (a, b) order. For a = 2^j m, m odd,
+    # the b in (-a, a] with b^2 = delta (mod 4a) are a CRT over 2^(j+1) and m.
+    validate_discriminant(delta)
+    if -delta > MAX_ABS_DELTA:
+        raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound 10^10")
     roots: dict[int, list[int]] = {1: [0]}  # n -> roots of x^2 = delta (mod n)
-    for a in range(1, a_max + 1):
+    out = []
+    for a in range(1, isqrt(-delta // 3) + 1):
         low = a & -a
         m = a // low
         if m not in roots:  # then m = a is odd and m // q was done before it
-            p = q = spf[m]
+            p = q = smallest_prime_factors()[m] or m  # m <= 57735 < 2^16
             while m % (q * p) == 0:
                 q *= p
             odd_q = _prime_power_roots(delta, p, q, roots)
@@ -73,20 +73,13 @@ def _candidates(delta: int):
             continue
         two = [r for r in _prime_power_roots(delta, 2, 4 * low, roots) if r < 2 * low]
         bs = sorted(r if r <= a else r - 2 * a for r in _crt(two, 2 * low, roots[m], m))
-        if a in bs:  # the root a is both ends of [-a, a]
+        if almost and a in bs:  # the mirror -a of the root a
             bs.insert(0, -a)
         for b in bs:
             c = (b * b - delta) // (4 * a)
-            if c >= a:
-                yield QuadraticForm(a, b, c)
-
-
-def _enumerate(delta: int, keep, primitive_only: bool) -> list[QuadraticForm]:
-    validate_discriminant(delta)
-    if -delta > MAX_ABS_DELTA:
-        raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound 10^10")
-    forms = _candidates(delta)
-    return [f for f in forms if keep(f) and (not primitive_only or f.is_primitive())]
+            if c > a or c == a and (almost or b >= 0):
+                out.append((a, b, c))
+    return out
 
 
 def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
@@ -94,21 +87,23 @@ def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[Quadrati
 
     Raises ValueError when |delta| exceeds MAX_ABS_DELTA = 10^10.
     """
-    return _enumerate(delta, QuadraticForm.is_reduced, primitive_only)
+    triples = _candidates(delta, almost=False)
+    return [QuadraticForm(*t) for t in triples if not primitive_only or gcd(*t) == 1]
 
 
 def enumerate_almost_reduced(
     delta: int, primitive_only: bool = False
 ) -> list[QuadraticForm]:
     """Like enumerate_reduced but keeping both boundary mirrors."""
-    return _enumerate(delta, QuadraticForm.is_almost_reduced, primitive_only)
+    triples = _candidates(delta, almost=True)
+    return [QuadraticForm(*t) for t in triples if not primitive_only or gcd(*t) == 1]
 
 
 def class_number(delta: int) -> int:
     """h(delta): the number of primitive reduced forms; |delta| <= 10^10."""
-    return len(enumerate_reduced(delta, primitive_only=True))
+    return sum(gcd(*t) == 1 for t in _candidates(delta, almost=False))
 
 
 def almost_reduced_count(delta: int) -> int:
     """Count of almost reduced forms, primitivity not required; |delta| <= 10^10."""
-    return len(enumerate_almost_reduced(delta))
+    return len(_candidates(delta, almost=True))

@@ -7,26 +7,12 @@ ever leaving integer/rational arithmetic.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import QuadraticForm
-from .residues import is_prime
-
-
-TRIAL_BOUND = 1 << 16  # primes up to it are trial-divided; see AlgebraicPoint
-
-
-@functools.cache
-def _prime_sieve() -> bytes:
-    sieve = bytearray([0, 0]) + bytearray([1]) * (TRIAL_BOUND - 1)
-    for f in range(2, math.isqrt(TRIAL_BOUND) + 1):
-        if sieve[f]:
-            sieve[f * f :: f] = bytes((TRIAL_BOUND - f * f) // f + 1)
-    return bytes(sieve)
+from .residues import is_prime, smallest_prime_factors
 
 
 def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
@@ -39,7 +25,10 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     rest = m // math.gcd(m, den_re * den_re)  # M'
     k = 1
     if not is_prime(rest):
-        for f in itertools.compress(range(TRIAL_BOUND + 1), _prime_sieve()):
+        spf = smallest_prime_factors()
+        for f in range(2, len(spf)):
+            if spf[f]:  # f is composite
+                continue
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break
             if rest % f == 0:
@@ -61,11 +50,12 @@ class AlgebraicPoint:
     The stored triple depends only on the point, so equality and hashing
     compare fields. With Re = P/Q and Im^2 = -N/M in lowest terms it is
     (P*k, Q*k, N*(Q*k)^2/M) for the least k with M' | k^2, M' = M/gcd(M, Q^2).
-    k comes from trial division of M' by the primes up to TRIAL_BOUND = 2^16,
-    stopped once the cofactor C is 1, prime or below f^3; C then adds isqrt(C)
-    if it is a square, else C. The triple is minimal when the loop stops
-    early, so for every M' <= 2^48; past that, C = l^2*m with primes l, m
-    above 2^16 gives a canonical but not minimal q. gcd(p, q) = 1 is kept.
+    k comes from trial division of M' by the primes up to 2^16 in the one
+    prime table, residues.smallest_prime_factors(), stopped once the
+    cofactor C is 1, prime or below f^3; C then adds isqrt(C) if it is a
+    square, else C. The triple is minimal when the loop stops early, so for
+    every M' <= 2^48; past that, C = l^2*m with primes l, m above 2^16
+    gives a canonical but not minimal q. gcd(p, q) = 1 is kept.
     """
 
     p: int

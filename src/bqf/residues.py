@@ -68,14 +68,13 @@ def legendre(value: int, p: int) -> int:
 def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None for a non-residue.
 
-    Tonelli-Shanks, in one power when p = 3 (mod 4). p is taken to be prime
-    and is not tested.
+    Tonelli-Shanks, in one power when p = 3 (mod 4); both detect a
+    non-residue themselves. p is taken to be prime and is not tested.
     """
     n %= p
-    if pow(n, (p - 1) // 2, p) > 1:
-        return None
-    if n == 0 or p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
+    if p % 4 == 3 or n == 0:  # for n = 0, t = 0 below would never reach 1
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
@@ -87,10 +86,24 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
         i, t2 = 1, t * t % p
         while t2 != 1:
             i, t2 = i + 1, t2 * t2 % p
+        if i == s:  # t has order 2^s, so n^((p-1)/2) = -1
+            return None
         b = pow(c, 1 << (s - i - 1), p)
         s, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+@functools.cache
+def smallest_prime_factors() -> bytes:
+    """spf[n] for n < 2^16: the least prime factor of a composite n (at most 251,
+    so one byte), 0 for a prime. The one prime table, built on first use, for
+    points trial division and enumeration's a <= isqrt(10^10 // 3) = 57735."""
+    size = 1 << 16
+    spf = bytearray(size)
+    for i in range(math.isqrt(size - 1), 1, -1):  # downwards: the least factor wins
+        spf[i * i :: i] = bytes([i]) * len(range(i * i, size, i))
+    return bytes(spf)
 
 
 @functools.lru_cache(maxsize=1)

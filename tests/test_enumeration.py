@@ -1,11 +1,14 @@
 """Listing reduced forms per discriminant; class numbers."""
 
+import math
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bqf import (
@@ -15,9 +18,12 @@ from bqf import (
     enumerate_almost_reduced,
     enumerate_reduced,
     equivalent,
+    legendre,
     reduce_form,
     validate_discriminant,
 )
+from bqf import enumeration
+from bqf.residues import smallest_prime_factors
 
 from helpers import random_positive_definite
 
@@ -49,6 +55,33 @@ def box_scan(delta):
                 out.append(QuadraticForm(a, b, num // (4 * a)))
         a += 1
     return out
+
+
+def kronecker(a, b):
+    # the Kronecker symbol (a/b) for b > 0: Cohen, Alg. 1.4.10
+    if a % 2 == 0 and b % 2 == 0:
+        return 0
+    v = (b & -b).bit_length() - 1
+    b >>= v
+    k = -1 if v % 2 and (a & 7) in (3, 5) else 1
+    while a:
+        v = (a & -a).bit_length() - 1
+        a >>= v
+        if v % 2 and (b & 7) in (3, 5):
+            k = -k
+        if a & b & 2:  # reciprocity: both are 3 (mod 4)
+            k = -k
+        a, b = b % abs(a), abs(a)
+    return k if b == 1 else 0
+
+
+def fundamental(delta):
+    def squarefree(m):
+        return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+    if delta % 4 == 1:
+        return squarefree(-delta)
+    return delta % 16 in (8, 12) and squarefree(-delta // 4)
 
 
 def admissible(delta):
@@ -195,3 +228,60 @@ def test_class_number_large_discriminant_fast():
     start = time.perf_counter()
     assert class_number(-400000003) == 3172
     assert time.perf_counter() - start < 2.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(-20000, -7).filter(fundamental))
+@example(-19999)  # the far end of the range: 1 (mod 4), 12 and 8 (mod 16)
+@example(-19988)
+@example(-19976)
+def test_class_number_formula(delta):
+    # an oracle with no forms in it: h = -(1/|delta|) sum_{n<|delta|} (delta/n) n
+    # for fundamental delta < -4 (Cohen, Sec. 5.3)
+    total = sum(kronecker(delta, n) * n for n in range(1, -delta))
+    assert total % delta == 0
+    assert class_number(delta) == total // delta
+
+
+def test_kronecker_oracle():
+    # the oracle against Legendre symbols, its rule at 2, and multiplicativity
+    for p in (3, 5, 7, 11, 13, 101):
+        assert all(kronecker(a, p) == legendre(a, p) for a in range(-60, 60))
+    for a in range(-40, 40):
+        if a % 2:
+            assert kronecker(a, 2) == (1 if a % 8 in (1, 7) else -1)
+        for b in range(1, 30):
+            assert all(
+                kronecker(a, b * c) == kronecker(a, b) * kronecker(a, c)
+                for c in range(1, 30)
+            )
+
+
+def test_counts_build_no_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a count built a QuadraticForm")
+
+    h = class_number(-99999)
+    monkeypatch.setattr(enumeration, "QuadraticForm", refuse)
+    assert (class_number(-23), almost_reduced_count(-23)) == (3, 4)
+    assert (class_number(-12), almost_reduced_count(-12)) == (1, 3)
+    assert class_number(-99999) == h
+
+
+def test_prime_table_matches_trial_division():
+    spf = smallest_prime_factors()
+    assert len(spf) == 2**16
+    small_primes = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
+    for n in range(2, 2**16):
+        least = next((p for p in small_primes if p * p <= n and n % p == 0), 0)
+        assert spf[n] == least  # 0 for a prime n
+    # every a <= sqrt(|delta|/3) below the enumeration cap is in the table
+    assert math.isqrt(enumeration.MAX_ABS_DELTA // 3) < len(spf)
+
+
+def test_prime_table_is_built_on_first_use():
+    probe = "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info())"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert "currsize=0" in proc.stdout, proc.stderr

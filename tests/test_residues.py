@@ -189,3 +189,17 @@ def test_sqrt_mod_prime():
         if p < 200:
             for n in set(range(1, p)) - quadratic_residues(p):
                 assert sqrt_mod_prime(n, p) is None
+
+
+def test_sqrt_mod_prime_agrees_with_euler():
+    # no Euler criterion runs first, so the root computation itself must tell
+    # residues from non-residues; 2^16 and 2^23 exactly divide p - 1 here
+    rng = random.Random(0x5E)
+    for p in (65537, 998244353, 2**31 - 1):
+        for n in [*range(1, 50), *(rng.randrange(1, p) for _ in range(300))]:
+            r = sqrt_mod_prime(n, p)
+            if pow(n, (p - 1) // 2, p) == 1:
+                assert r is not None and r * r % p == n
+            else:
+                assert r is None
+        assert sqrt_mod_prime(p, p) == 0
