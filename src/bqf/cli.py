@@ -180,14 +180,8 @@ def _cmd_orbit(args) -> tuple[dict, str]:
 
 def _cmd_check_t32(args) -> tuple[dict, str]:
     rep = same_orbit_form_check(args.alpha, args.beta, args.depth)
-    data = {
-        "alpha_form": str(rep.alpha_form),
-        "beta_form": str(rep.beta_form),
-        "forms_equivalent": rep.forms_equivalent,
-        "reachable": rep.reachable,
-        "depth": rep.depth,
-        "consistent": rep.consistent,
-    }
+    data = dict(rep._asdict(), consistent=rep.consistent)  # the fields in order, then consistent
+    data.update(alpha_form=str(rep.alpha_form), beta_form=str(rep.beta_form))
     return data, _fields(data)
 
 

@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from ._value import Value
 
 
-@dataclass(frozen=True, order=True)
-class QuadraticForm:
+class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
     """A form [a, b, c] with exact integer coefficients.
 
     Instances are immutable and sort lexicographically by (a, b, c).
     The canonical text rendering is "a,b,c".
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> QuadraticForm:

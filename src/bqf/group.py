@@ -16,33 +16,28 @@ the diagonal conjugate returned by base_point_transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
+from ._value import Value
 from .forms import QuadraticForm
 from .points import AlgebraicPoint
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value, namedtuple("GroupElement", "r s t u")):
     """Matrix (r s / t u) with ru - st = +-1, stored modulo sign.
 
     The canonical representative has t > 0, or t == 0 and u > 0; equality
     and hashing compare canonical representatives. Text format "r,s;t,u".
     """
 
-    r: int
-    s: int
-    t: int
-    u: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.det not in (1, -1):
+    def __new__(cls, r: int, s: int, t: int, u: int) -> GroupElement:
+        if r * u - s * t not in (1, -1):
             raise ValueError("matrix must have determinant +1 or -1")
-        if self.t < 0 or (self.t == 0 and self.u < 0):
-            object.__setattr__(self, "r", -self.r)
-            object.__setattr__(self, "s", -self.s)
-            object.__setattr__(self, "t", -self.t)
-            object.__setattr__(self, "u", -self.u)
+        if t < 0 or (t == 0 and u < 0):
+            r, s, t, u = -r, -s, -t, -u
+        return tuple.__new__(cls, (r, s, t, u))
 
     @property
     def det(self) -> int:
@@ -86,12 +81,8 @@ def generator_element(letter: str) -> GroupElement:
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Matrix product g*h (apply h first when acting on the left)."""
-    return GroupElement(
-        g.r * h.r + g.s * h.t,
-        g.r * h.s + g.s * h.u,
-        g.t * h.r + g.u * h.t,
-        g.t * h.s + g.u * h.u,
-    )
+    (r, s, t, u), (r2, s2, t2, u2) = g, h
+    return GroupElement(r * r2 + s * t2, r * s2 + s * u2, t * r2 + u * t2, t * s2 + u * u2)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -106,8 +97,7 @@ def act_on_form(g: GroupElement, form: QuadraticForm) -> QuadraticForm:
     the adjugate matrix. Valid for both determinant signs; R acts as the
     mirror [a, -b, c].
     """
-    a, b, c = form.a, form.b, form.c
-    r, s, t, u = g.r, g.s, g.t, g.u
+    (a, b, c), (r, s, t, u) = form, g
     aa = a * u * u - b * u * t + c * t * t
     bb = -2 * a * u * s + b * (r * u + s * t) - 2 * c * t * r
     cc = a * s * s - b * s * r + c * r * r
@@ -116,9 +106,9 @@ def act_on_form(g: GroupElement, form: QuadraticForm) -> QuadraticForm:
 
 def _mobius(g: GroupElement, p: int, q: int, d: int) -> tuple[int, int, int]:
     """The image of (p + sqrt(d))/q under g as an unnormalized triple."""
-    m = g.r * p + g.s * q
-    n = g.t * p + g.u * q
-    return m * n - g.r * g.t * d, n * n - g.t * g.t * d, q * q * d
+    r, s, t, u = g
+    m, n = r * p + s * q, t * p + u * q
+    return m * n - r * t * d, n * n - t * t * d, q * q * d
 
 
 def act_on_point(g: GroupElement, z: AlgebraicPoint) -> AlgebraicPoint:
@@ -167,8 +157,8 @@ def element_to_word(g: GroupElement) -> str:
     runs before any letter is written. Raises ValueError when the word
     would exceed MAX_WORD_LETTERS = 10^8 letters.
     """
-    r, s, t, u = g.r, g.s, g.t, g.u
-    lead = "R" if g.det == -1 else ""
+    r, s, t, u = g
+    lead = "R" if r * u - s * t == -1 else ""
     if lead:
         t, u = -t, -u  # R g
     x, y, m = next(

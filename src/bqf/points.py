@@ -7,12 +7,21 @@ ever leaving integer/rational arithmetic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .forms import QuadraticForm
 from .residues import is_prime, smallest_prime_factors
+
+
+@functools.cache
+def _prime_flags() -> bytes:
+    """1 for each prime n in 2 .. 2^16 - 1, else 0: the one prime table's zeros."""
+    return smallest_prime_factors()[2:].translate(bytes([1]) + bytes(255))
 
 
 def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
@@ -25,10 +34,7 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     rest = m // math.gcd(m, den_re * den_re)  # M'
     k = 1
     if not is_prime(rest):
-        spf = smallest_prime_factors()
-        for f in range(2, len(spf)):
-            if spf[f]:  # f is composite
-                continue
+        for f in itertools.compress(range(2, 1 << 16), _prime_flags()):
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break
             if rest % f == 0:
@@ -43,8 +49,7 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     return p // g * k, new_q, d // h * (new_q * new_q // m)
 
 
-@dataclass(frozen=True)
-class AlgebraicPoint:
+class AlgebraicPoint(Value, namedtuple("AlgebraicPoint", "p q D")):
     """The point (p + sqrt(D))/q with D < 0 and q > 0, so Im > 0 always.
 
     The stored triple depends only on the point, so equality and hashing
@@ -58,19 +63,14 @@ class AlgebraicPoint:
     gives a canonical but not minimal q. gcd(p, q) = 1 is kept.
     """
 
-    p: int
-    q: int
-    D: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q <= 0:
+    def __new__(cls, p: int, q: int, D: int) -> AlgebraicPoint:
+        if q <= 0:
             raise ValueError("denominator q must be positive")
-        if self.D >= 0:
+        if D >= 0:
             raise ValueError("radicand D must be negative")
-        p, q, d = _normalize(self.p, self.q, self.D)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "D", d)
+        return tuple.__new__(cls, _normalize(p, q, D))
 
     @classmethod
     def parse(cls, text: str) -> AlgebraicPoint:

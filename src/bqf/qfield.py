@@ -9,9 +9,10 @@ form-equivalence test as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .forms import QuadraticForm
 from .group import GroupElement, _mobius, generator_element
 from .points import AlgebraicPoint
@@ -20,28 +21,23 @@ from .reduction import equivalent
 MAX_ORBIT_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class QuadFieldElement:
+class QuadFieldElement(Value, namedtuple("QuadFieldElement", "a c n")):
     """The point (a + sqrt(-n))/c with n > 0, c != 0 and c | a^2 + n.
 
     A negative c is absorbed by negating both a and c, so stored elements
     always sit in the upper half plane. Text format "a/c/n".
     """
 
-    a: int
-    c: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
+    def __new__(cls, a: int, c: int, n: int) -> QuadFieldElement:
+        if n <= 0:
             raise ValueError("n must be a positive integer")
-        if self.c == 0:
+        if c == 0:
             raise ValueError("denominator c must be nonzero")
-        if (self.a * self.a + self.n) % self.c != 0:
+        if (a * a + n) % c != 0:
             raise ValueError("c must divide a^2 + n")
-        if self.c < 0:
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "c", -self.c)
+        return tuple.__new__(cls, (-a, -c, n) if c < 0 else (a, c, n))
 
     @property
     def b(self) -> int:
@@ -100,8 +96,9 @@ def act(g: GroupElement, alpha: QuadFieldElement) -> QuadFieldElement:
     """
     if g.det == -1:
         raise ValueError("the quadratic irrational action is restricted to determinant +1")
-    top, bottom, _ = _mobius(g, alpha.a, alpha.c, -alpha.n)
-    return QuadFieldElement(top // alpha.c, bottom // alpha.c, alpha.n)
+    a, c, n = alpha
+    top, bottom, _ = _mobius(g, a, c, -n)
+    return QuadFieldElement(top // c, bottom // c, n)
 
 
 def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:
@@ -127,19 +124,16 @@ def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:
     return seen
 
 
-@dataclass(frozen=True)
-class SameOrbitReport:
+class SameOrbitReport(
+    Value, namedtuple("SameOrbitReport", "alpha_form beta_form forms_equivalent reachable depth")
+):
     """Both sides of the orbit/form-equivalence comparison.
 
     reachable True with forms_equivalent False would be a genuine
     violation; the converse only means the search depth was too small.
     """
 
-    alpha_form: QuadraticForm
-    beta_form: QuadraticForm
-    forms_equivalent: bool
-    reachable: bool
-    depth: int
+    __slots__ = ()
 
     @property
     def violation(self) -> bool:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
+from ._value import Value
 from .forms import QuadraticForm
 from .group import R, GroupElement, element_to_word, inverse
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word steps")):
     """Reduced form plus the group element carrying the input onto it.
 
     act_on_form(witness, original) == reduced, word multiplies out to
@@ -19,17 +19,14 @@ class ReductionResult:
     when it would exceed MAX_WORD_LETTERS = 10^8 letters.
     """
 
-    reduced: QuadraticForm
-    witness: GroupElement
-    word: str
-    steps: int
+    __slots__ = ()
 
 
 def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
     """Reduced form, witness (r s / t u) and steps: reduce_form without a word."""
     if not form.is_positive_definite():
         raise ValueError("only positive definite forms can be reduced")
-    a, b, c = form.a, form.b, form.c
+    a, b, c = form
     r, s, t, u = 1, 0, 0, 1
     steps = 0
     while True:
@@ -79,10 +76,10 @@ def equivalent(
     ro, wo, _ = _reduce(other)
     if rf == ro:
         return inverse(wf) * wo
-    if mode == "extended":
-        rm, wm, _ = _reduce(other.mirror())
-        if rf == rm:
-            return inverse(wf) * wm * R
+    # R takes ro to its mirror, which is reduced unless ro lies on the boundary;
+    # there the mirror reduces back to ro, which was already compared with rf
+    if mode == "extended" and rf == ro.mirror():
+        return inverse(wf) * R * wo
     return None
 
 

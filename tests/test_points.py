@@ -22,6 +22,8 @@ from bqf import (
     in_fundamental_domain_pibar,
     reduce_form,
 )
+from bqf import points
+from bqf.residues import smallest_prime_factors
 
 from helpers import random_element, random_positive_definite
 
@@ -194,6 +196,13 @@ def test_trial_loop_worst_case_is_fast():
     ell, m = 2**40 - 87, 2**40 - 167
     z = _within_a_second(lambda: AlgebraicPoint(0, ell * m, -ell * m))
     assert triple(z) == (0, ell * m, -ell * m)
+
+
+def test_trial_division_reads_primes_off_the_one_table():
+    spf = smallest_prime_factors()
+    flags = points._prime_flags()
+    assert len(flags) == len(spf) - 2
+    assert [n for n, flag in enumerate(flags, 2) if flag] == [n for n in range(2, len(spf)) if spf[n] == 0]
 
 
 def test_base_point_examples():

@@ -19,6 +19,7 @@ from bqf import (
     equivalent,
     minimum_represented,
     reduce_form,
+    reduction,
     word_to_element,
 )
 
@@ -174,6 +175,30 @@ def test_proper_vs_extended_split():
     assert w is not None
     assert w.det == -1
     assert act_on_form(w, g) == f
+
+
+def test_equivalent_reduces_each_form_once(monkeypatch):
+    calls = []
+    real = reduction._reduce
+    monkeypatch.setattr(reduction, "_reduce", lambda f: calls.append(f) or real(f))
+    pairs = [((2, 1, 3), (2, -1, 3)), ((11, 49, 55), (1, 1, 5)), ((1, 0, 5), (2, 2, 3))]
+    for mode in ("proper", "extended"):
+        for f, g in pairs:
+            calls.clear()
+            equivalent(QuadraticForm(*f), QuadraticForm(*g), mode)
+            assert len(calls) == 2
+
+
+def test_extended_finds_every_mirror_image():
+    # small coefficients put many reduced forms on the boundary, where the
+    # mirror of a reduced form is not reduced
+    rng = random.Random(0xD4)
+    for _ in range(400):
+        f = random_positive_definite(rng, max_coeff=30)
+        moved = act_on_form(random_element(rng, rng.randint(0, 10)), f.mirror())
+        w = equivalent(f, moved, mode="extended")
+        assert w is not None
+        assert act_on_form(w, moved) == f
 
 
 def test_extended_covers_proper():

@@ -1,0 +1,115 @@
+"""Value semantics shared by the six value types: immutable tuples of their
+coefficients, equal only to values of their own class."""
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bqf
+from bqf import (
+    AlgebraicPoint,
+    GroupElement,
+    QuadFieldElement,
+    QuadraticForm,
+    ReductionResult,
+    SameOrbitReport,
+    reduce_form,
+    same_orbit_form_check,
+)
+
+# (value, its fields, its repr)
+VALUES = [
+    (QuadraticForm(11, 49, 55), "a b c", "QuadraticForm(a=11, b=49, c=55)"),
+    (GroupElement(3, 7, -1, -2), "r s t u", "GroupElement(r=-3, s=-7, t=1, u=2)"),
+    (AlgebraicPoint(2, 4, -4), "p q D", "AlgebraicPoint(p=1, q=2, D=-1)"),
+    (QuadFieldElement(-1, -2, 5), "a c n", "QuadFieldElement(a=1, c=2, n=5)"),
+    (
+        reduce_form(QuadraticForm(11, 49, 55)),
+        "reduced witness word steps",
+        "ReductionResult(reduced=QuadraticForm(a=1, b=1, c=5), "
+        "witness=GroupElement(r=-3, s=-7, t=1, u=2), word='VTVTVTUTU', steps=3)",
+    ),
+    (
+        same_orbit_form_check(QuadFieldElement(1, 2, 5), QuadFieldElement(3, 2, 5), 8),
+        "alpha_form beta_form forms_equivalent reachable depth",
+        "SameOrbitReport(alpha_form=QuadraticForm(a=2, b=-2, c=3), "
+        "beta_form=QuadraticForm(a=2, b=-6, c=7), forms_equivalent=True, "
+        "reachable=True, depth=8)",
+    ),
+]
+IDS = [type(v).__name__ for v, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned(value, fields, text):
+    for name in fields.split() + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_value_is_the_tuple_of_its_fields(value, fields, text):
+    coefficients = tuple(getattr(value, name) for name in fields.split())
+    assert tuple(value) == coefficients and len(value) == len(coefficients)
+    assert value != coefficients and coefficients != value
+    assert not value == coefficients
+    assert type(value)(*coefficients) == value
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_pickle_round_trip(value, fields, text):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+
+
+def test_equal_only_to_own_class():
+    form, element = QuadraticForm(1, 2, 1), QuadFieldElement(1, 2, 1)
+    assert tuple(form) == tuple(element)
+    assert form != element and element != form and not form == element
+    assert len({form, element}) == 2
+    assert QuadraticForm(0, 1, -1) != AlgebraicPoint(0, 1, -1)
+    assert GroupElement(1, 0, 0, 1) != (1, 0, 0, 1)
+
+
+def test_hash_agrees_with_equality():
+    pairs = [
+        (GroupElement(3, 7, -1, -2), GroupElement(-3, -7, 1, 2)),
+        (AlgebraicPoint(2, 4, -4), AlgebraicPoint(1, 2, -1)),
+        (QuadFieldElement(-1, -2, 5), QuadFieldElement(1, 2, 5)),
+        (QuadraticForm(2, 1, 3), QuadraticForm.parse("2,1,3")),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert len({QuadraticForm(2, 1, 3), QuadraticForm(2, -1, 3)}) == 2
+
+
+def test_make_and_replace_normalize_or_raise():
+    assert type(QuadraticForm._make([1, 2, 3])) is QuadraticForm
+    assert GroupElement._make([3, 7, -1, -2]) == GroupElement(-3, -7, 1, 2)
+    assert GroupElement(1, 0, 0, 1)._replace(s=5, u=-1) == GroupElement(-1, -5, 0, 1)
+    with pytest.raises(ValueError):
+        GroupElement(1, 0, 0, 1)._replace(r=2)
+    assert AlgebraicPoint(1, 2, -1)._replace(p=2, q=4, D=-4) == AlgebraicPoint(1, 2, -1)
+    with pytest.raises(ValueError):
+        AlgebraicPoint(1, 2, -1)._replace(D=1)
+    with pytest.raises(ValueError):
+        AlgebraicPoint._make([1, 0, -1])
+    assert QuadFieldElement(1, 2, 5)._replace(c=-2) == QuadFieldElement(-1, 2, 5)
+    with pytest.raises(ValueError):
+        QuadFieldElement(1, 2, 5)._replace(c=4)
+
+
+def test_import_leaves_dataclasses_out():
+    src = str(Path(bqf.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bqf.cli; "
+        "assert bqf.__file__.startswith(sys.path[0]); "
+        "assert 'dataclasses' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
