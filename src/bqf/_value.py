@@ -1,16 +1,31 @@
 """Value, the immutable base of the library's value types."""
 
 
+def _within_kind(compare):
+    def method(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot order {type(self).__name__} against {type(other).__name__}")
+        return compare(self, other)
+
+    return method
+
+
 class Value(tuple):
-    """Coefficients as a tuple that equals only values of its own class.
+    """Coefficients as a tuple that equals and orders only values of its own class.
 
     Each value type derives from Value and a namedtuple of its fields, with
-    empty __slots__. Validation and normalization live in its __new__;
-    _make, and so _replace, call the constructor and cannot skip them.
-    __ne__ is spelled out because tuple's own would compare across classes.
+    empty __slots__, and declares its text form once, as _text with one %s
+    per field and one-character separators, for str() and parse(); the
+    records have none and keep their repr as str. Validation and
+    normalization live in __new__; _make, and so _replace, call it.
+    __ne__ is spelled out because tuple's own would compare across classes,
+    and <, <=, >, >= raise TypeError across kinds because NotImplemented
+    would let tuple's reflected comparison answer for a plain tuple. + and *
+    raise TypeError, so GroupElement's * (compose) is the only product.
     """
 
     __slots__ = ()
+    _text = None
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -19,6 +34,29 @@ class Value(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+    __lt__, __le__ = _within_kind(tuple.__lt__), _within_kind(tuple.__le__)
+    __gt__, __ge__ = _within_kind(tuple.__gt__), _within_kind(tuple.__ge__)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+    def __str__(self) -> str:
+        return repr(self) if self._text is None else self._text % self
+
+    @classmethod
+    def parse(cls, text: str):
+        """The value whose str() is text, spaces around each int allowed.
+
+        Where _text has two kinds of separator, rebuilding text checks their places.
+        """
+        fmt = cls._text
+        sep, mid = fmt[2], fmt[5]  # the first two separators
+        parts = text.replace(mid, sep).split(sep)
+        if len(parts) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):
+            raise ValueError(f"expected {fmt % cls._fields!r}, got {text!r}")
+        return cls(*map(int, parts))
 
     @classmethod
     def _make(cls, iterable):

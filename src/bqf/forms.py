@@ -11,21 +11,12 @@ from ._value import Value
 class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
     """A form [a, b, c] with exact integer coefficients.
 
-    Instances are immutable and sort lexicographically by (a, b, c).
-    The canonical text rendering is "a,b,c".
+    Instances are immutable and sort lexicographically by (a, b, c) among
+    forms. Text format "a,b,c".
     """
 
     __slots__ = ()
-
-    @classmethod
-    def parse(cls, text: str) -> QuadraticForm:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 'a,b,c', got {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
-
-    def __str__(self) -> str:
-        return f"{self.a},{self.b},{self.c}"
+    _text = "%s,%s,%s"
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -43,10 +34,12 @@ class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
 
     def is_positive_definite(self) -> bool:
         """Negative discriminant with both outer coefficients positive."""
-        return self.discriminant() < 0 and self.a > 0 and self.c > 0
+        a, b, c = self
+        return b * b < 4 * a * c and a > 0 and c > 0
 
     def is_almost_reduced(self) -> bool:
-        return self.is_positive_definite() and abs(self.b) <= self.a <= self.c
+        a, b, c = self
+        return 0 < a and abs(b) <= a <= c  # so b^2 <= ac < 4ac: positive definite
 
     def is_reduced(self) -> bool:
         """Almost reduced plus the boundary tie rules.
@@ -54,13 +47,8 @@ class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
         On the ties the positive sign of b wins: a == |b| forces b == a,
         and a == c forces b >= 0.
         """
-        if not self.is_almost_reduced():
-            return False
-        if abs(self.b) == self.a and self.b != self.a:
-            return False
-        if self.a == self.c and self.b < 0:
-            return False
-        return True
+        a, b, c = self
+        return 0 < a and -a < b <= a <= c and (b >= 0 or a < c)
 
     def mirror(self) -> QuadraticForm:
         """The reflected form [a, -b, c]; same discriminant."""

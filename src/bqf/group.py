@@ -31,6 +31,7 @@ class GroupElement(Value, namedtuple("GroupElement", "r s t u")):
     """
 
     __slots__ = ()
+    _text = "%s,%s;%s,%s"
 
     def __new__(cls, r: int, s: int, t: int, u: int) -> GroupElement:
         if r * u - s * t not in (1, -1):
@@ -41,24 +42,11 @@ class GroupElement(Value, namedtuple("GroupElement", "r s t u")):
 
     @property
     def det(self) -> int:
-        return self.r * self.u - self.s * self.t
-
-    @classmethod
-    def parse(cls, text: str) -> GroupElement:
-        rows = text.split(";")
-        if len(rows) != 2:
-            raise ValueError(f"expected 'r,s;t,u', got {text!r}")
-        top = rows[0].split(",")
-        bottom = rows[1].split(",")
-        if len(top) != 2 or len(bottom) != 2:
-            raise ValueError(f"expected 'r,s;t,u', got {text!r}")
-        return cls(int(top[0]), int(top[1]), int(bottom[0]), int(bottom[1]))
-
-    def __str__(self) -> str:
-        return f"{self.r},{self.s};{self.t},{self.u}"
+        r, s, t, u = self
+        return r * u - s * t
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        return compose(self, other)
+        return compose(self, other) if type(other) is GroupElement else NotImplemented
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)

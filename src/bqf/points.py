@@ -64,6 +64,7 @@ class AlgebraicPoint(Value, namedtuple("AlgebraicPoint", "p q D")):
     """
 
     __slots__ = ()
+    _text = "%s,%s,%s"
 
     def __new__(cls, p: int, q: int, D: int) -> AlgebraicPoint:
         if q <= 0:
@@ -72,31 +73,25 @@ class AlgebraicPoint(Value, namedtuple("AlgebraicPoint", "p q D")):
             raise ValueError("radicand D must be negative")
         return tuple.__new__(cls, _normalize(p, q, D))
 
-    @classmethod
-    def parse(cls, text: str) -> AlgebraicPoint:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 'p,q,D', got {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
-
-    def __str__(self) -> str:
-        return f"{self.p},{self.q},{self.D}"
-
     def re(self) -> Fraction:
-        return Fraction(self.p, self.q)
+        p, q, _ = self
+        return Fraction(p, q)
 
     def im_sq(self) -> Fraction:
-        return Fraction(-self.D, self.q * self.q)
+        _, q, d = self
+        return Fraction(-d, q * q)
 
     def abs_sq(self) -> Fraction:
-        return Fraction(self.p * self.p - self.D, self.q * self.q)
+        p, q, d = self
+        return Fraction(p * p - d, q * q)
 
 
 def base_point(form: QuadraticForm) -> AlgebraicPoint:
     """The root (b + sqrt(disc))/(2a) of form in the upper half plane."""
     if not form.is_positive_definite():
         raise ValueError("base point defined only for positive definite forms")
-    return AlgebraicPoint(form.b, 2 * form.a, form.discriminant())
+    a, b, c = form
+    return AlgebraicPoint(b, 2 * a, b * b - 4 * a * c)
 
 
 def form_from_point(z: AlgebraicPoint) -> tuple[QuadraticForm, Fraction]:
@@ -106,12 +101,11 @@ def form_from_point(z: AlgebraicPoint) -> tuple[QuadraticForm, Fraction]:
     [1/|z|^2, 2 Re(z)/|z|^2, 1]. G has positive leading coefficient and
     base_point(G) == z.
     """
-    norm_num = z.p * z.p - z.D  # q^2 * |z|^2, positive
-    aa = z.q * z.q
-    bb = 2 * z.p * z.q
-    cc = norm_num
-    g = math.gcd(aa, math.gcd(bb, cc))
-    return QuadraticForm(aa // g, bb // g, cc // g), Fraction(g, norm_num)
+    p, q, d = z
+    norm_num = p * p - d  # q^2 * |z|^2, positive
+    aa, bb = q * q, 2 * p * q
+    g = math.gcd(aa, bb, norm_num)
+    return QuadraticForm(aa // g, bb // g, norm_num // g), Fraction(g, norm_num)
 
 
 def in_fundamental_domain_pi(z: AlgebraicPoint) -> bool:

@@ -29,6 +29,7 @@ class QuadFieldElement(Value, namedtuple("QuadFieldElement", "a c n")):
     """
 
     __slots__ = ()
+    _text = "%s/%s/%s"
 
     def __new__(cls, a: int, c: int, n: int) -> QuadFieldElement:
         if n <= 0:
@@ -42,16 +43,6 @@ class QuadFieldElement(Value, namedtuple("QuadFieldElement", "a c n")):
     @property
     def b(self) -> int:
         return (self.a * self.a + self.n) // self.c
-
-    @classmethod
-    def parse(cls, text: str) -> QuadFieldElement:
-        parts = text.split("/")
-        if len(parts) != 3:
-            raise ValueError(f"expected 'a/c/n', got {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
-
-    def __str__(self) -> str:
-        return f"{self.a}/{self.c}/{self.n}"
 
     def to_point(self) -> AlgebraicPoint:
         return AlgebraicPoint(self.a, self.c, -self.n)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bqf import QuadraticForm
 
@@ -118,3 +120,35 @@ def test_ordering_and_hash():
     forms = {QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 1), QuadraticForm(1, 1, 1)}
     assert len(forms) == 2
     assert QuadraticForm(1, 0, 1) < QuadraticForm(1, 1, 1) < QuadraticForm(2, -1, 3)
+
+
+def _chained_positive_definite(f):
+    return f.discriminant() < 0 and f.a > 0 and f.c > 0
+
+
+def _chained_almost_reduced(f):
+    return _chained_positive_definite(f) and abs(f.b) <= f.a <= f.c
+
+
+def _chained_reduced(f):
+    if not _chained_almost_reduced(f):
+        return False
+    if abs(f.b) == f.a and f.b != f.a:
+        return False
+    if f.a == f.c and f.b < 0:
+        return False
+    return True
+
+
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+@example(0, 0, 0)
+@example(2, -2, 3)
+@example(2, -1, 2)
+@example(1, 2, 1)
+def test_predicates_match_the_chained_definitions(a, b, c):
+    # the reference is the predicates' earlier definition as a chain:
+    # is_reduced -> is_almost_reduced -> is_positive_definite -> discriminant
+    f = QuadraticForm(a, b, c)
+    assert f.is_positive_definite() is _chained_positive_definite(f)
+    assert f.is_almost_reduced() is _chained_almost_reduced(f)
+    assert f.is_reduced() is _chained_reduced(f)

@@ -1,6 +1,7 @@
 """Value semantics shared by the six value types: immutable tuples of their
-coefficients, equal only to values of their own class."""
+coefficients, equal to and ordered against only values of their own class."""
 
+import operator
 import pickle
 import subprocess
 import sys
@@ -41,6 +42,14 @@ VALUES = [
     ),
 ]
 IDS = [type(v).__name__ for v, _, _ in VALUES]
+# str() of the four types with a text form; the two records print their repr
+STRINGS = {
+    "QuadraticForm": "11,49,55",
+    "GroupElement": "-3,-7;1,2",
+    "AlgebraicPoint": "1,2,-1",
+    "QuadFieldElement": "1/2/5",
+}
+ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
 
 
 @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
@@ -65,6 +74,76 @@ def test_pickle_round_trip(value, fields, text):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert type(back) is type(value) and back == value and hash(back) == hash(value)
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_str_is_the_text_form_or_the_repr(value, fields, text):
+    kind = type(value)
+    string = STRINGS.get(kind.__name__, text)
+    assert str(value) == f"{value}" == string
+    if kind.__name__ in STRINGS:
+        back = kind.parse(string)
+        assert type(back) is kind and back == value
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_ordering_only_within_the_kind(value, fields, text):
+    other_kind = VALUES[(IDS.index(type(value).__name__) + 1) % len(VALUES)][0]
+    for other in (other_kind, tuple(value), tuple(other_kind)):
+        for compare in ORDERINGS:
+            with pytest.raises(TypeError):
+                compare(value, other)
+            with pytest.raises(TypeError):
+                compare(other, value)
+    assert value <= value and value >= value and not value < value and not value > value
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_no_tuple_arithmetic(value, fields, text):
+    # only GroupElement * GroupElement is a product (compose, see test_group)
+    products = (lambda: value * 2, lambda: 2 * value, lambda: value * tuple(value))
+    for combine in (lambda: value + value, *products):
+        with pytest.raises(TypeError):
+            combine()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [QuadraticForm(2, 1, 3), QuadraticForm(1, 0, 1), QuadraticForm(2, -1, 3)],
+        [GroupElement(0, -1, 1, 1), GroupElement(1, 0, 0, 1), GroupElement(3, 7, -1, -2)],
+        [AlgebraicPoint(1, 2, -5), AlgebraicPoint(0, 1, -1), AlgebraicPoint(-1, 2, -3)],
+        [QuadFieldElement(3, 2, 5), QuadFieldElement(1, 2, 5), QuadFieldElement(1, -2, 5)],
+    ],
+    ids=IDS[:4],
+)
+def test_sorted_within_a_kind_is_by_fields(values):
+    ordered = sorted(values)
+    assert ordered == sorted(values, key=tuple)
+    assert all(x < y or x == y for x, y in zip(ordered, ordered[1:]))
+    assert min(values) == ordered[0] and max(values) == ordered[-1]
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        (QuadraticForm, "1,2", "expected 'a,b,c', got '1,2'"),
+        (QuadraticForm, "1,2,3,4", "expected 'a,b,c', got '1,2,3,4'"),
+        (QuadraticForm, "1/2/3", "expected 'a,b,c', got '1/2/3'"),
+        (GroupElement, "1,0;0", "expected 'r,s;t,u', got '1,0;0'"),
+        (GroupElement, "1,0,0,1", "expected 'r,s;t,u', got '1,0,0,1'"),
+        (GroupElement, "1;2,3,4", "expected 'r,s;t,u', got '1;2,3,4'"),
+        (GroupElement, "1,2;3;4", "expected 'r,s;t,u', got '1,2;3;4'"),
+        (AlgebraicPoint, "1,2", "expected 'p,q,D', got '1,2'"),
+        (AlgebraicPoint, "1;2;-5", "expected 'p,q,D', got '1;2;-5'"),
+        (QuadFieldElement, "1/2/5/7", "expected 'a/c/n', got '1/2/5/7'"),
+        (QuadFieldElement, "1,2,5", "expected 'a/c/n', got '1,2,5'"),
+    ],
+)
+def test_parse_error_names_the_text_form(kind, text, message):
+    with pytest.raises(ValueError) as caught:
+        kind.parse(text)
+    assert str(caught.value) == message
 
 
 def test_equal_only_to_own_class():
