@@ -13,15 +13,15 @@ def _within_kind(compare):
 class Value(tuple):
     """Coefficients as a tuple that equals and orders only values of its own class.
 
-    Each value type derives from Value and a namedtuple of its fields, with
-    empty __slots__, and declares its text form once, as _text with one %s
-    per field and one-character separators, for str() and parse(); the
-    records have none and keep their repr as str. Validation and
-    normalization live in __new__; _make, and so _replace, call it.
-    __ne__ is spelled out because tuple's own would compare across classes,
-    and <, <=, >, >= raise TypeError across kinds because NotImplemented
-    would let tuple's reflected comparison answer for a plain tuple. + and *
-    raise TypeError, so GroupElement's * (compose) is the only product.
+    Each value type derives from Value and a namedtuple of its fields, with empty
+    __slots__, and declares its text form once, as _text with one %s per field and
+    one-character separators, for str() and parse(); the records have none, keep
+    their repr as str and refuse parse. Validation and normalization live in
+    __new__; _make, and so _replace, call it. __ne__ is spelled out because tuple's
+    own would compare across classes, and <, <=, >, >= raise TypeError across kinds
+    because NotImplemented would let tuple's reflected comparison answer for a plain
+    tuple. value + x and * raise TypeError (GroupElement's compose is its own *), but
+    a plain tuple x + value runs tuple's +: (1, 0) + QuadraticForm(1, 0, 1) is (1, 0, 1, 0, 1).
     """
 
     __slots__ = ()
@@ -51,7 +51,8 @@ class Value(tuple):
 
         Where _text has two kinds of separator, rebuilding text checks their places.
         """
-        fmt = cls._text
+        if (fmt := cls._text) is None:
+            raise TypeError(f"{cls.__name__} has no text form to parse")
         sep, mid = fmt[2], fmt[5]  # the first two separators
         parts = text.replace(mid, sep).split(sep)
         if len(parts) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):

@@ -4,21 +4,15 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least strong pseudoprime to all twelve bases (OEIS A014233)
 _MR_PROOF_BOUND = 318665857834031151167461
-_MR_EXTRA_ROUNDS = 40  # error < 4^-40 < 2^-80 for large candidates
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(base, d, n)
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    x = pow(base, (n - 1) >> r, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):
@@ -28,12 +22,47 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        z = (a & -a).bit_length() - 1  # a = 2^z times an odd number
+        a >>= z
+        t *= -1 if (z % 2 and n % 8 in (3, 5)) != (a % 4 == n % 4 == 3) else 1
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of an odd n > 1: P = 1, Q = (1 - D)/4 for the first D in
+    5, -7, 9, -11, ... with (D/n) = -1 (Selfridge); a square has none, and fails."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = 2 - D if D < 0 else -2 - D
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s with d odd
+    Q, h, u, v, qk = (1 - D) // 4, (n + 1) // 2, 0, 2, 1  # U_k, V_k, Q^k at k = 0
+    for bit in bin((n + 1) >> s)[2:]:  # k -> 2k, then 2k + 1 on a 1 bit
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # h = 1/2 mod n
+            u, v, qk = (u + v) * h % n, (D * u + v) * h % n, qk * Q % n
+    if u == 0:
+        return True
+    for _ in range(s):  # V_k at k = d, 2d, ..., 2^(s-1) d
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
 # cached so legendre sweeps over one p, and is_prime(p) after them, test p once
 @functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the bases 2..37, a proof below psi_12 ~ 2^78.1
-    (Sorenson and Webster, Math. Comp. 2017); above it 40 extra rounds with
-    bases seeded from n (error below 2^-80)."""
+    """Miller-Rabin on the bases 2..37, a proof below psi_12 ~ 2^78.1 (Sorenson
+    and Webster, Math. Comp. 2017). Above it Baillie-PSW (Baillie and Wagstaff, Math.
+    Comp. 1980; FIPS 186-4 C.3.3), a strong test to base 2 and a strong Lucas test:
+    True there means BPSW-prime, with no known composite that passes."""
     if n < 2:
         return False
     for p in _MR_BASES_SMALL:
@@ -41,14 +70,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if not all(_miller_rabin(n, b) for b in _MR_BASES_SMALL):
-        return False
     if n < _MR_PROOF_BOUND:
-        return True
-    rng = random.Random(n)
-    return all(
-        _miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_MR_EXTRA_ROUNDS)
-    )
+        return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL)
+    return _miller_rabin(n, 2) and _strong_lucas(n)
 
 
 def _require_odd_prime(p: int) -> None:

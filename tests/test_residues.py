@@ -1,5 +1,6 @@
 """Primality, Legendre symbols, residue tables, and the scaling criterion."""
 
+import math
 import random
 
 import pytest
@@ -42,13 +43,71 @@ def test_is_prime_carmichael_and_large():
 def test_fixed_bases_are_a_proof_below_psi_12(monkeypatch):
     psi_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
     assert psi_12 == 399165290221 * 798330580441
-    assert not is_prime(psi_12)  # the seeded rounds above the bound catch it
+    assert not is_prime(psi_12)  # the strong Lucas step above the bound catches it
     calls = []
     real = residues._miller_rabin
     monkeypatch.setattr(residues, "_miller_rabin", lambda n, b: calls.append(b) or real(n, b))
     p = 2**70 - 35  # a 70-bit prime no other test validates
     assert is_prime(p)
     assert calls == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_lucas_step_rejects_psi_13():
+    psi_13 = 3317044064679887385961981  # strong pseudoprime to the bases 2..41
+    assert all(residues._miller_rabin(psi_13, b) for b in residues._MR_BASES_SMALL)
+    assert not is_prime(psi_13)
+
+
+def odd_composites(limit):
+    primes = set(sieve_odd_primes(limit))
+    return [n for n in range(9, limit, 2) if n not in primes]
+
+
+def test_strong_lucas_rejects_base_2_strong_pseudoprimes():
+    spsp2 = [n for n in odd_composites(10**5) if residues._miller_rabin(n, 2)]
+    assert len(spsp2) == 16 and spsp2[:3] == [2047, 3277, 4033]
+    assert not any(residues._strong_lucas(n) for n in spsp2)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # OEIS A217255, strong Lucas pseudoprimes with Selfridge's method A
+    a217255 = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+               75077, 97439]
+    found = [
+        n for n in odd_composites(10**5)
+        if math.isqrt(n) ** 2 != n and residues._strong_lucas(n)
+    ]
+    assert found == a217255
+    assert not any(residues._miller_rabin(n, 2) for n in found)
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    primes = sieve_odd_primes(300)
+    for n in range(1, 300, 2):
+        factors, rest = [], n
+        for p in primes:
+            while rest % p == 0:
+                factors.append(p)
+                rest //= p
+        for a in range(-30, 30):
+            assert residues._jacobi(a, n) == math.prod(legendre(a, p) for p in factors)
+
+
+def test_strong_lucas_rejects_odd_squares():
+    # no D has (D/n) = -1 for a square n; 1093^2 also passes the base-2 strong test
+    assert residues._miller_rabin(1093**2, 2)
+    assert not any(residues._strong_lucas(m * m) for m in [*range(3, 400, 2), 1093, 3511])
+
+
+def test_strong_lucas_accepts_odd_primes():
+    assert all(residues._strong_lucas(p) for p in sieve_odd_primes(10**5))
+
+
+def test_is_prime_matches_trial_division_below_2e5():
+    flags = bytearray(2 * 10**5)
+    for p in [2, *sieve_odd_primes(len(flags))]:
+        flags[p] = 1
+    assert all(is_prime(n) == flags[n] for n in range(len(flags)))
 
 
 def test_prime_validated_once(monkeypatch):

@@ -107,6 +107,18 @@ def test_no_tuple_arithmetic(value, fields, text):
             combine()
 
 
+def test_plain_tuple_on_the_left_concatenates():
+    # tuple's own + runs before any method of the right operand
+    joined = (1, 0) + QuadraticForm(1, 0, 1)
+    assert type(joined) is tuple and joined == (1, 0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("kind", [ReductionResult, SameOrbitReport])
+def test_records_have_no_parse(kind):
+    with pytest.raises(TypeError, match=f"^{kind.__name__} has no text form to parse$"):
+        kind.parse("x")
+
+
 @pytest.mark.parametrize(
     "values",
     [
