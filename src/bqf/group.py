@@ -67,10 +67,15 @@ def generator_element(letter: str) -> GroupElement:
         raise ValueError(f"unknown generator letter {letter!r}") from None
 
 
+def _product(g: tuple, h: tuple) -> tuple[int, int, int, int]:
+    """The raw matrix product of two 4-int tuples (r, s, t, u)."""
+    (r, s, t, u), (r2, s2, t2, u2) = g, h
+    return r * r2 + s * t2, r * s2 + s * u2, t * r2 + u * t2, t * s2 + u * u2
+
+
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Matrix product g*h (apply h first when acting on the left)."""
-    (r, s, t, u), (r2, s2, t2, u2) = g, h
-    return GroupElement(r * r2 + s * t2, r * s2 + s * u2, t * r2 + u * t2, t * s2 + u * u2)
+    return GroupElement(*_product(g, h))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -120,11 +125,13 @@ def base_point_transform(g: GroupElement) -> GroupElement:
 
 
 def word_to_element(word: str) -> GroupElement:
-    """Multiply out a word over R, T, U, V left to right."""
-    g = IDENTITY
-    for ch in word:
-        g = compose(g, generator_element(ch))
-    return g
+    """Multiply out a word over R, T, U, V left to right: the letters' matrices as
+    a balanced tree of raw products, near-linear in the word length, then one
+    GroupElement."""
+    level = [generator_element(ch) for ch in word]
+    while len(level) > 1:  # an odd last factor moves up a level unpaired
+        level = list(map(_product, level[::2], level[1::2])) + level[len(level) & ~1 :]
+    return GroupElement(*level[0]) if level else IDENTITY
 
 
 def normalize_word(word: str) -> str:

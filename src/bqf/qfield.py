@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from ._value import Value
 from .forms import QuadraticForm
-from .group import GroupElement, _mobius, generator_element
+from .group import GroupElement, _mobius
 from .points import AlgebraicPoint
 from .reduction import equivalent
 
@@ -92,27 +93,35 @@ def act(g: GroupElement, alpha: QuadFieldElement) -> QuadFieldElement:
     return QuadFieldElement(top // c, bottom // c, n)
 
 
-def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:
-    """Breadth-first orbit over generator words in T, U, U^2 up to depth."""
+def _orbit(alpha: QuadFieldElement, depth: int) -> Iterator[tuple[int, int, int]]:
+    """Each new triple (a, c, b) of the orbit, breadth first over words in T, U, V
+    up to depth, alpha first. With b = (a^2 + n)/c the generators act by additions,
+    the moves _reduce makes on form triples: T (a, c, b) -> (-a, b, c),
+    U -> (-a - c, 2a + b + c, c), V -> (-a - b, b, 2a + b + c)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_ORBIT_DEPTH:
         raise ValueError(f"depth {depth} exceeds the configured maximum {MAX_ORBIT_DEPTH}")
-    gens = [generator_element(ch) for ch in "TUV"]
-    seen = {alpha}
-    frontier = [alpha]
+    frontier = [(alpha.a, alpha.c, alpha.b)]
+    seen = set(frontier)
+    yield frontier[0]
     for _ in range(depth):
-        grown: list[QuadFieldElement] = []
-        for el in frontier:
-            for g in gens:
-                image = act(g, el)
+        grown = []
+        for a, c, b in frontier:
+            s = 2 * a + b + c
+            for image in ((-a, b, c), (-a - c, s, c), (-a - b, b, s)):
                 if image not in seen:
                     seen.add(image)
                     grown.append(image)
-        if not grown:
-            break
+                    yield image
         frontier = grown
-    return seen
+
+
+def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:
+    """Breadth-first orbit over generator words in T, U, U^2 up to depth; each
+    member is walked as an int triple and validated once as an element."""
+    n = alpha.n
+    return {QuadFieldElement(a, c, n) for a, c, _ in _orbit(alpha, depth)}
 
 
 class SameOrbitReport(
@@ -148,5 +157,5 @@ def same_orbit_form_check(
     fa = element_form(alpha)
     fb = element_form(beta)
     forms_equivalent = equivalent(fa, fb, "proper") is not None
-    reachable = beta in orbit_explore(alpha, depth)
+    reachable = (beta.a, beta.c, beta.b) in _orbit(alpha, depth)  # stops at beta
     return SameOrbitReport(fa, fb, forms_equivalent, reachable, depth)

@@ -81,12 +81,10 @@ def _require_odd_prime(p: int) -> None:
 
 
 def legendre(value: int, p: int) -> int:
-    """Legendre symbol (value/p) by Euler's criterion; 0 when p divides value."""
+    """Legendre symbol (value/p); 0 when p divides value. For an odd prime p it
+    is the Jacobi symbol, read off by reciprocity in O(log p) steps, no power."""
     _require_odd_prime(p)
-    e = pow(value % p, (p - 1) // 2, p)
-    if e == 0:
-        return 0
-    return 1 if e == 1 else -1
+    return _jacobi(value, p)
 
 
 def sqrt_mod_prime(n: int, p: int) -> int | None:

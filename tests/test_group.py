@@ -287,3 +287,27 @@ def test_normal_form_is_unique(lead_r, body):
     # every normal-shape word is the normal word of its own element
     n = "R" * lead_r + body
     assert element_to_word(word_to_element(n)) == n
+
+
+def test_word_to_element_splits_at_any_point():
+    rng = random.Random(0x6D)
+    w = "".join(rng.choice("RTUV") for _ in range(10**5))
+    g = word_to_element(w)
+    for k in (0, 1, 2, 3, 777, rng.randrange(len(w)), len(w) // 2, len(w) - 1, len(w)):
+        assert g == word_to_element(w[:k]) * word_to_element(w[k:])
+
+
+def test_word_to_element_matches_left_to_right_compose():
+    rng = random.Random(0x6E)
+    for length in (1, 2, 3, 5, 8, 2000):
+        w = "".join(rng.choice("RTUV") for _ in range(length))
+        g = IDENTITY
+        for ch in w:
+            g = compose(g, generator_element(ch))
+        assert word_to_element(w) == g
+
+
+def test_word_to_element_unknown_letter():
+    for w in ("X", "TUX", "RTUVRTUVq"):
+        with pytest.raises(ValueError, match=r"unknown generator letter '[Xq]'"):
+            word_to_element(w)

@@ -13,16 +13,19 @@ from bqf import (
     AlgebraicPoint,
     QuadFieldElement,
     QuadraticForm,
+    SameOrbitReport,
     act_on_element,
     act_on_point,
     compose,
     element_form,
     equivalent,
+    generator_element,
     membership,
     norm,
     orbit_explore,
     same_orbit_form_check,
 )
+from bqf.qfield import _orbit
 
 from helpers import random_element
 
@@ -237,3 +240,82 @@ def test_reachable_implies_equivalent_small():
                 fa = element_form(alpha)
                 for beta in orbit_explore(alpha, 4):
                     assert equivalent(fa, element_form(beta), mode="proper") is not None
+
+
+def reference_orbit_distances(alpha, depth):
+    # breadth first through act_on_element, each member with its word length
+    gens = [generator_element(ch) for ch in "TUV"]
+    dist = {alpha: 0}
+    frontier = [alpha]
+    for d in range(1, depth + 1):
+        grown = []
+        for el in frontier:
+            for g in gens:
+                image = act_on_element(g, el)
+                if image not in dist:
+                    dist[image] = d
+                    grown.append(image)
+        frontier = grown
+    return dist
+
+
+def large_field_element(rng, a_max, c_max, n_max):
+    # n is drawn from the class of -a^2 mod c, so no draw is rejected
+    a, c = rng.randint(-a_max, a_max), rng.randint(1, c_max)
+    return QuadFieldElement(a, c, (-a * a) % c + c * rng.randint(1, n_max // c))
+
+
+def orbit_test_elements():
+    # negative a, c > 1 and n up to 10^6, besides the README example and i
+    rng = random.Random(0xC4)
+    elements = [QuadFieldElement(1, 2, 5), QuadFieldElement(0, 1, 1)]
+    while len(elements) < 8:
+        alpha = large_field_element(rng, 2000, 400, 10**6)
+        if alpha.a < 0 and alpha.c > 1:
+            elements.append(alpha)
+    return elements
+
+
+def test_orbit_explore_matches_reference_bfs():
+    for alpha in orbit_test_elements():
+        dist = reference_orbit_distances(alpha, 12)
+        for depth in range(13):
+            assert orbit_explore(alpha, depth) == {e for e, d in dist.items() if d <= depth}
+
+
+def test_additive_images_are_the_generator_actions():
+    rng = random.Random(0xC5)
+    checked = 0
+    while checked < 300:
+        alpha = random_field_element(rng) if checked % 2 else large_field_element(rng, 10**6, 10**3, 10**6)
+        images = [act_on_element(generator_element(ch), alpha) for ch in "TUV"]
+        if len({alpha, *images}) < 4:
+            continue  # a fixed point or a coincidence; then _orbit yields fewer
+        walked = list(_orbit(alpha, 1))
+        assert walked[0] == (alpha.a, alpha.c, alpha.b)
+        assert walked[1:] == [(e.a, e.c, e.b) for e in images]
+        checked += 1
+
+
+def test_same_orbit_form_check_matches_orbit_membership():
+    for alpha in orbit_test_elements()[:5]:
+        orbit = sorted(orbit_explore(alpha, 6))
+        betas = orbit[::9] + [QuadFieldElement(alpha.a + alpha.c, alpha.c, alpha.n)]
+        betas += [b for b in orbit_explore(alpha, 8) if b not in orbit][:3]  # beyond depth 6
+        betas.append(QuadFieldElement(0, 1, alpha.n))  # the principal class; inequivalent to most
+        for beta in betas:
+            for depth in (0, 3, 6):
+                fa, fb = element_form(alpha), element_form(beta)
+                expected = SameOrbitReport(
+                    fa, fb, equivalent(fa, fb) is not None, beta in orbit_explore(alpha, depth), depth
+                )
+                assert same_orbit_form_check(alpha, beta, depth) == expected
+
+
+def test_orbit_depth_bounds_in_both_functions():
+    alpha = QuadFieldElement(1, 2, 5)
+    for depth in (-1, 13):
+        with pytest.raises(ValueError):
+            orbit_explore(alpha, depth)
+        with pytest.raises(ValueError):
+            same_orbit_form_check(alpha, alpha, depth)

@@ -166,6 +166,21 @@ def test_legendre_matches_squaring_table():
         assert quadratic_residues(p) == squares
 
 
+def euler_criterion(value, p):
+    e = pow(value, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def test_legendre_matches_euler_criterion():
+    for p in sieve_odd_primes(500):
+        for v in range(-p, 2 * p):
+            assert legendre(v, p) == euler_criterion(v, p)
+    rng = random.Random(0xB2)
+    p = 2**127 - 1
+    for v in [rng.randrange(-p, 2 * p) for _ in range(200)] + [0, p, 2**64]:
+        assert legendre(v, p) == euler_criterion(v, p)
+
+
 def test_legendre_multiplicative():
     rng = random.Random(0xB0)
     primes = sieve_odd_primes(500)
