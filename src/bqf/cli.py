@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
+import re
 import sys
 from collections.abc import Iterator
 from operator import itemgetter
@@ -252,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("pi", "pibar"), default="pi")
     p.add_argument("--out", default="-", help="output file, - for stdout")
 
+    for p in sub.choices.values():  # argparse's own hook: -1,2,-5 is a value, not an option;
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # no option starts with -<digit>
+    parser.verbs = sub.choices  # verb name -> its parser, for main's one parse
     return parser
 
 
@@ -259,11 +262,17 @@ _parser = functools.cache(build_parser)  # built on the first main call, then re
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
+    if verb is None or extra:  # no verb first, or unknown arguments: the full parser's error
+        args = parser.parse_args(argv)
     try:
         data, text = args.handler(args)
         out_path = getattr(args, "out", "-")
         if data is not None and args.format == "json":
+            import json  # loaded only when json output is asked for
             text = json.dumps(data, sort_keys=True) + "\n"
         if out_path == "-":
             sys.stdout.write(text)

@@ -11,7 +11,10 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
+
+TYPE_CHECKING = False  # typing's flag without importing typing
+if TYPE_CHECKING:  # fractions (and decimal) load on first use, by a plain `import fractions`:
+    import fractions  # a function-level `from fractions import Fraction` costs ~1.3 µs on 3.11
 
 from ._value import Value
 from .forms import QuadraticForm
@@ -73,17 +76,20 @@ class AlgebraicPoint(Value, namedtuple("AlgebraicPoint", "p q D")):
             raise ValueError("radicand D must be negative")
         return tuple.__new__(cls, _normalize(p, q, D))
 
-    def re(self) -> Fraction:
+    def re(self) -> fractions.Fraction:
+        import fractions
         p, q, _ = self
-        return Fraction(p, q)
+        return fractions.Fraction(p, q)
 
-    def im_sq(self) -> Fraction:
+    def im_sq(self) -> fractions.Fraction:
+        import fractions
         _, q, d = self
-        return Fraction(-d, q * q)
+        return fractions.Fraction(-d, q * q)
 
-    def abs_sq(self) -> Fraction:
+    def abs_sq(self) -> fractions.Fraction:
+        import fractions
         p, q, d = self
-        return Fraction(p * p - d, q * q)
+        return fractions.Fraction(p * p - d, q * q)
 
 
 def base_point(form: QuadraticForm) -> AlgebraicPoint:
@@ -94,18 +100,19 @@ def base_point(form: QuadraticForm) -> AlgebraicPoint:
     return AlgebraicPoint(b, 2 * a, b * b - 4 * a * c)
 
 
-def form_from_point(z: AlgebraicPoint) -> tuple[QuadraticForm, Fraction]:
+def form_from_point(z: AlgebraicPoint) -> tuple[QuadraticForm, fractions.Fraction]:
     """Invert base_point: the primitive integral form with root z.
 
     Returns (G, scale) where scale * G is the monic-at-c normalization
     [1/|z|^2, 2 Re(z)/|z|^2, 1]. G has positive leading coefficient and
     base_point(G) == z.
     """
+    import fractions
     p, q, d = z
     norm_num = p * p - d  # q^2 * |z|^2, positive
     aa, bb = q * q, 2 * p * q
     g = math.gcd(aa, bb, norm_num)
-    return QuadraticForm(aa // g, bb // g, norm_num // g), Fraction(g, norm_num)
+    return QuadraticForm(aa // g, bb // g, norm_num // g), fractions.Fraction(g, norm_num)
 
 
 def in_fundamental_domain_pi(z: AlgebraicPoint) -> bool:

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
+
+TYPE_CHECKING = False  # as in points: fractions loads on first use
+if TYPE_CHECKING:
+    import fractions
 
 from ._value import Value
 from .forms import QuadraticForm
@@ -66,9 +69,10 @@ def membership(
     return QuadFieldElement(a, c, n)
 
 
-def norm(alpha: QuadFieldElement) -> Fraction:
+def norm(alpha: QuadFieldElement) -> fractions.Fraction:
     """Field norm alpha * conj(alpha) = (a^2 + n)/c^2, equal to b/c."""
-    return Fraction(alpha.a * alpha.a + alpha.n, alpha.c * alpha.c)
+    import fractions
+    return fractions.Fraction(alpha.a * alpha.a + alpha.n, alpha.c * alpha.c)
 
 
 def element_form(alpha: QuadFieldElement) -> QuadraticForm:

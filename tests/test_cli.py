@@ -54,6 +54,7 @@ GOLDENS = [
     (["base-point", "11,49,55", "--format", "json"], '{"point": "49,22,-19"}\n'),
     (["point-form", "1,2,-5"], "form: 2,2,3\nscale: 1/3\n"),
     (["point-form", "0,1,-1"], "form: 1,0,1\nscale: 1\n"),
+    (["point-form", "-1,2,-5"], "form: 2,-2,3\nscale: 1/3\n"),
     (["point-form", "0,1,-1", "--format", "json"], '{"form": "1,0,1", "scale": "1"}\n'),
     (["legendre", "-1", "37"], "1\n"),
     (["legendre", "-1", "79"], "-1\n"),
@@ -225,17 +226,44 @@ def test_cli_exit_contract(argv):
     assert code in (0, 1, 2)
 
 
+def full_parse(argv):
+    """(code, stdout, stderr) of a fresh full parser that exits on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
 def test_usage_errors_exit_two():
+    # main parses argv with the verb's own parser alone; what it writes on a
+    # usage error must still be exactly what the full parser writes
     for argv in (
         ["reduce", "1,2"],
         ["point-form", "1,2,5"],
         ["nonsense"],
         ["equiv", "1,0,1"],
         [],
+        ["reduce", "1,0,1", "extra"],
+        ["plot", "--bogus", "1,0,1"],
+        ["--format", "json"],
     ):
         code, out, err = run(argv)
         assert code == 2, argv
         assert "usage:" in err
+        assert (code, out, err) == full_parse(argv), argv
+    code, out, err = run(["reduce", "-h"])
+    assert (code, err) == (0, "") and out.startswith("usage: bqf reduce")
+    assert (code, out, err) == full_parse(["reduce", "-h"])
+
+
+def test_values_may_start_with_minus():
+    # a value such as -1,2,-5 is not read as an unknown option, so it needs no --
+    assert run(["orbit", "-1/2/5", "--depth", "2"]) == run(["orbit", "--depth", "2", "--", "-1/2/5"])
+    assert run(["plot", "--points", "-1,2,-3"]) == run(["plot", "--points", "--", "-1,2,-3"])
+    assert run(["check-t32", "1/2/5", "-1/2/5"])[0] == 0
 
 
 def test_parser_is_built_once_and_reused(monkeypatch):

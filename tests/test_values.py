@@ -198,9 +198,14 @@ def test_make_and_replace_normalize_or_raise():
 def test_import_leaves_dataclasses_out():
     src = str(Path(bqf.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import bqf.cli; "
+        f"import io, sys; sys.path.insert(0, {src!r}); import bqf.cli; "
         "assert bqf.__file__.startswith(sys.path[0]); "
-        "assert 'dataclasses' not in sys.modules"
+        "assert 'dataclasses' not in sys.modules; "
+        # fractions (with decimal) and json load only for the verbs that use them
+        "lazy = ('fractions', 'decimal', 'json'); "
+        "assert not [m for m in lazy if m in sys.modules] and 'argparse' in sys.modules; "
+        "sys.stdout = io.StringIO(); assert bqf.cli.main(['reduce', '11,49,55']) == 0; "
+        "assert not [m for m in lazy if m in sys.modules] and 'argparse' in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
