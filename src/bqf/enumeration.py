@@ -1,13 +1,13 @@
 """Enumeration of reduced forms and class numbers for negative discriminants.
 
-A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and
-b^2 = delta (mod 4a). So for each a <= sqrt(|delta|/3) the b to try are the
-roots of that congruence, found by factoring a with the one prime table
-residues.smallest_prime_factors() (2^16 > sqrt(10^10/3)), Tonelli-Shanks,
-lifting to prime powers and the CRT: O(sqrt|delta|) values of a with a few
-roots each, not the ~|delta|/6 cells of the (a, b) box. The walk yields
-exactly the (a, b, c) asked for; counts build no form. |delta| is capped at
-MAX_ABS_DELTA = 10^10 (under a second); above it the functions raise ValueError.
+A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and b^2 = delta
+(mod 4a): O(sqrt|delta|) values of a with a few b each, not the ~|delta|/6 cells
+of the (a, b) box. An odd a = n q, q the power of its least prime (from the one
+prime table residues.smallest_prime_factors()), gets its sorted roots s mod a by
+the CRT from those mod n and mod q, both found before a (Tonelli-Shanks, lifted);
+b is s or s - a, whichever has delta's parity. An even a = 2^j m joins the roots
+mod m by the CRT with the 2-adic roots, found once per j. Counts build no form.
+|delta| is capped at MAX_ABS_DELTA = 10^10; above it the functions raise ValueError.
 """
 
 from __future__ import annotations
@@ -46,33 +46,44 @@ def _prime_power_roots(delta: int, p: int, q: int, roots: dict) -> list[int]:
     return roots[q]
 
 
-def _crt(rs: list[int], m: int, ss: list[int], q: int) -> list[int]:
-    # x = r (mod m) and x = s (mod q) for coprime m, q; x in [0, mq)
-    inv = pow(m, -1, q)
-    return [r + m * ((s - r) * inv % q) for r in rs for s in ss]
-
-
 def _candidates(delta: int, almost: bool) -> list[tuple[int, int, int]]:
-    # reduced (a, b, c), or almost-reduced ones, in (a, b) order. For a = 2^j m, m odd,
-    # the b in (-a, a] with b^2 = delta (mod 4a) are a CRT over 2^(j+1) and m.
+    # reduced (a, b, c), or almost-reduced ones, in (a, b) order; b in (-a, a], sorted
     validate_discriminant(delta)
     if -delta > MAX_ABS_DELTA:
         raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound 10^10")
+    spf = smallest_prime_factors()  # a <= 57735 < 2^16
     roots: dict[int, list[int]] = {1: [0]}  # n -> roots of x^2 = delta (mod n)
+    twos: dict[int, list[int]] = {}  # 2^j -> the roots mod 2^(j+2) below 2^(j+1)
     out = []
     for a in range(1, isqrt(-delta // 3) + 1):
-        low = a & -a
-        m = a // low
-        if m not in roots:  # then m = a is odd and m // q was done before it
-            p = q = smallest_prime_factors()[m] or m  # m <= 57735 < 2^16
-            while m % (q * p) == 0:
-                q *= p
-            odd_q = _prime_power_roots(delta, p, q, roots)
-            roots[m] = _crt(roots[m // q], m // q, odd_q, q)
-        if not roots[m]:
-            continue
-        two = [r for r in _prime_power_roots(delta, 2, 4 * low, roots) if r < 2 * low]
-        bs = sorted(r if r <= a else r - 2 * a for r in _crt(two, 2 * low, roots[m], m))
+        if a & 1:
+            if a > 1:  # a = n q, q the power of its least prime p; n and q / p are done
+                p = q = spf[a] or a
+                while a % (q * p) == 0:
+                    q *= p
+                n = a // q
+                if n == 1:
+                    roots[a] = sorted(_prime_power_roots(delta, p, q, roots))
+                elif roots[n] and roots[q]:  # the CRT: x = r (mod n), x = s (mod q)
+                    inv, qs = pow(n, -1, q), roots[q]
+                    roots[a] = sorted([r + n * ((s - r) * inv % q) for r in roots[n] for s in qs])
+                else:
+                    roots[a] = []
+            if not (rs := roots[a]):
+                continue
+            # b = s (mod a) and b = delta (mod 2): s or s - a; root 0 of an odd delta gives a
+            bs = sorted([s if (s - delta) & 1 == 0 else s - a if s else a for s in rs])
+        else:
+            low = a & -a
+            m = a // low
+            if not roots[m]:
+                continue
+            t = 2 * low  # b = r (mod t), b = s (mod m): x in [0, 2a) gives b = x or x - 2a
+            if low not in twos:  # once per j
+                twos[low] = [r for r in _prime_power_roots(delta, 2, 2 * t, roots) if r < t]
+            inv = pow(t, -1, m)
+            bs = sorted([x if (x := r + t * ((s - r) * inv % m)) <= a else x - 2 * a
+                         for r in twos[low] for s in roots[m]])
         if almost and a in bs:  # the mirror -a of the root a
             bs.insert(0, -a)
         for b in bs:

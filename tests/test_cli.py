@@ -259,6 +259,20 @@ def test_usage_errors_exit_two():
     assert (code, out, err) == full_parse(["reduce", "-h"])
 
 
+def test_second_double_dash_is_a_usage_error():
+    # argparse up to 3.13.0 drops the second "--" and hands the next positional
+    # an unconverted []; main must report that as a usage error, not a traceback
+    for argv in (
+        ["check-t32", "--", "1/2/5", "--"],
+        ["equiv", "--", "1,0,1", "--"],
+        ["legendre", "--", "1", "--"],
+    ):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err, argv
+
+
 def test_values_may_start_with_minus():
     # a value such as -1,2,-5 is not read as an unknown option, so it needs no --
     assert run(["orbit", "-1/2/5", "--depth", "2"]) == run(["orbit", "--depth", "2", "--", "-1/2/5"])

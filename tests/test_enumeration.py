@@ -215,6 +215,23 @@ def test_root_enumeration_matches_box_scan(delta):
         ]
 
 
+def test_root_enumeration_matches_box_scan_exhaustively():
+    # every admissible delta in [-5000, -3]: odd a with root 0 of an odd delta
+    # (b = a), both parity fixes b = s and b = s - a, and even a = 2^j m, j <= 5
+    for delta in range(-5000, -2):
+        if delta % 4 not in (0, 1):
+            continue
+        box = box_scan(delta)
+        for primitive_only in (False, True):
+            kept = [f for f in box if not primitive_only or f.is_primitive()]
+            assert enumerate_reduced(delta, primitive_only) == [
+                f for f in kept if f.is_reduced()
+            ], delta
+            assert enumerate_almost_reduced(delta, primitive_only) == [
+                f for f in kept if f.is_almost_reduced()
+            ], delta
+
+
 def test_enumeration_bound():
     message = "|delta| = 10000000003 exceeds the enumeration bound 10^10"
     fns = (class_number, enumerate_reduced, enumerate_almost_reduced, almost_reduced_count)
