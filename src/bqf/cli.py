@@ -268,10 +268,13 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
     if verb is None or extra:  # no verb first, or unknown arguments: the full parser's error
         args = parser.parse_args(argv)
-    if argv.count("--") > 1:  # argparse up to 3.13.0 drops the second "--", leaving the
-        for dest in (x.dest for x in verb._get_positional_actions() if x.nargs is None):
-            if getattr(args, dest) == []:  # next positional [], its type never called
-                verb.error(f"argument {dest}: expected one argument")
+    if argv.count("--") > 1:  # argparse up to 3.13.0 drops the second "--": the next
+        for x in verb._get_positional_actions():  # positional is [], its type never called,
+            value = getattr(args, x.dest)  # or a "*" positional keeps "--" as an item
+            if x.nargs is None and value == []:
+                verb.error(f"argument {x.dest}: expected one argument")
+            if x.nargs == "*" and "--" in value:
+                verb.error(f"argument {x.dest}: invalid value: '--'")
     try:
         data, text = args.handler(args)
         out_path = getattr(args, "out", "-")

@@ -156,15 +156,22 @@ def element_to_word(g: GroupElement) -> str:
     lead = "R" if r * u - s * t == -1 else ""
     if lead:
         t, u = -t, -u  # R g
-    x, y, m = next(
-        (x, y, m)
-        for y, (r, s, t, u) in (("", (r, s, t, u)), ("T", (s, -r, u, -t)))  # g y^-1
-        for x, m in (  # x^-1 g y^-1
-            ("", (r, s, t, u)), ("U", (-r - t, -s - u, r, s)), ("V", (-t, -u, r + t, s + u))
-        )
-        if min(m) >= 0 or max(m) <= 0
-    )
-    a, b, c, d = map(abs, m)
+    for y in "", "T":
+        if y:
+            r, s, t, u = s, -r, u, -t  # g T^-1
+        # x^-1 g y^-1 is +-(r s / t u), (v w / r s), (t u / v w) for x = "", U, V; with det 1,
+        # it is +- nonnegative iff its entries but the bottom right are all >= 0 or all <= 0
+        v, w = -r - t, -s - u
+        if r >= 0 <= s and t >= 0 or r <= 0 >= s and t <= 0:
+            x, a, b, c, d = "", r, s, t, u
+        elif v >= 0 <= w and r >= 0 or v <= 0 >= w and r <= 0:
+            x, a, b, c, d = "U", v, w, r, s
+        elif t >= 0 <= u and v >= 0 or t <= 0 >= u and v <= 0:
+            x, a, b, c, d = "V", t, u, v, w
+        else:
+            continue
+        break
+    a, b, c, d = abs(a), abs(b), abs(c), abs(d)
     runs = []
     while b or c:  # a, d >= 1 throughout
         k = b // d  # (TU)^-k takes the bottom row off the top k times
@@ -175,4 +182,4 @@ def element_to_word(g: GroupElement) -> str:
     letters = len(lead + x + y) + 2 * sum(k + j for k, j in runs)
     if letters > MAX_WORD_LETTERS:
         raise ValueError(f"word of {letters} letters exceeds the word bound 10^8")
-    return lead + x + "".join("TU" * k + "TV" * j for k, j in runs) + y
+    return lead + x + "".join(["TU" * k + "TV" * j for k, j in runs]) + y

@@ -29,19 +29,19 @@ def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
     a, b, c = form
     r, s, t, u = 1, 0, 0, 1
     steps = 0
-    while True:
-        if not -a < b <= a:
-            m = -((a - b) // (2 * a))  # ceil((b - a) / (2a))
-            c = a * m * m - b * m + c
-            b = b - 2 * a * m
-            r, s = r + m * t, s + m * u  # (1 m / 0 1) times the witness
+    while True:  # one pass: a translation when b is outside (-a, a], then a swap or stop
+        m = (a - b) // (2 * a)  # zero exactly when -a < b <= a
+        if m:  # translate by (TU)^-m: b -> b + 2am
+            am = a * m
+            c += m * (b + am)
+            b += 2 * am
+            r, s = r - m * t, s - m * u  # (1 -m / 0 1) times the witness
             steps += 1
-        elif a > c or (a == c and b < 0):
-            a, b, c = c, -b, a
-            r, s, t, u = -t, -u, r, s  # T times the witness
-            steps += 1
-        else:
+        if a < c or (a == c and b >= 0):
             break
+        a, b, c = c, -b, a
+        r, s, t, u = -t, -u, r, s  # T times the witness
+        steps += 1
     return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
 
 

@@ -6,8 +6,10 @@ import functools
 import math
 
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_12, the least strong pseudoprime to all twelve bases (OEIS A014233)
-_MR_PROOF_BOUND = 318665857834031151167461
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233), k = 1..12
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461)
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -59,10 +61,11 @@ def _strong_lucas(n: int) -> bool:
 # cached so legendre sweeps over one p, and is_prime(p) after them, test p once
 @functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the bases 2..37, a proof below psi_12 ~ 2^78.1 (Sorenson
-    and Webster, Math. Comp. 2017). Above it Baillie-PSW (Baillie and Wagstaff, Math.
-    Comp. 1980; FIPS 186-4 C.3.3), a strong test to base 2 and a strong Lucas test:
-    True there means BPSW-prime, with no known composite that passes."""
+    """Miller-Rabin on the first k bases 2, 3, 5, ..., 37 below psi_k, the least strong
+    pseudoprime to them: a proof below psi_12 ~ 2^78.1 (Jaeschke, Math. Comp. 1993;
+    Sorenson and Webster, Math. Comp. 2017). Above it Baillie-PSW (Baillie and Wagstaff,
+    Math. Comp. 1980; FIPS 186-4 C.3.3), a strong test to base 2 and a strong Lucas
+    test: True there means BPSW-prime, with no known composite that passes."""
     if n < 2:
         return False
     for p in _MR_BASES_SMALL:
@@ -70,8 +73,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_PROOF_BOUND:
-        return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL)
+    for k, psi in enumerate(_MR_PSI, 1):
+        if n < psi:
+            return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL[:k])
     return _miller_rabin(n, 2) and _strong_lucas(n)
 
 

@@ -273,6 +273,15 @@ def test_second_double_dash_is_a_usage_error():
         assert "usage:" in err and "Traceback" not in err, argv
 
 
+def test_second_double_dash_among_plot_items_is_a_usage_error():
+    # a "*" positional keeps the second "--" as an item; that is a usage error too
+    for argv in (["plot", "--", "1,0,1", "--"], ["plot", "--points", "--", "1,2,-5", "--"]):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err, argv
+
+
 def test_values_may_start_with_minus():
     # a value such as -1,2,-5 is not read as an unknown option, so it needs no --
     assert run(["orbit", "-1/2/5", "--depth", "2"]) == run(["orbit", "--depth", "2", "--", "-1/2/5"])

@@ -272,6 +272,49 @@ def test_element_to_word_round_trip():
     assert element_to_word(GroupElement(1, 5, 0, 1)) == "TUTUTUTUTU"
 
 
+def six_candidate_word(g):
+    # reference: build all six x^-1 g y^-1 and take the first that is +- nonnegative
+    r, s, t, u = g
+    lead = "R" if r * u - s * t == -1 else ""
+    if lead:
+        t, u = -t, -u
+    x, y, m = next(
+        (x, y, m)
+        for y, (r, s, t, u) in (("", (r, s, t, u)), ("T", (s, -r, u, -t)))
+        for x, m in (
+            ("", (r, s, t, u)), ("U", (-r - t, -s - u, r, s)), ("V", (-t, -u, r + t, s + u))
+        )
+        if min(m) >= 0 or max(m) <= 0
+    )
+    a, b, c, d = map(abs, m)
+    runs = []
+    while b or c:
+        k = b // d
+        a, b = a - k * c, b - k * d
+        j = c // a
+        c, d = c - j * a, d - j * b
+        runs.append((k, j))
+    return lead + x + "".join("TU" * k + "TV" * j for k, j in runs) + y
+
+
+def test_element_to_word_on_every_small_element():
+    # every element of determinant +-1 with entries in [-4, 4], mod sign
+    span = range(-4, 5)
+    elements = {
+        GroupElement(r, s, t, u)
+        for r in span for s in span for t in span for u in span
+        if r * u - s * t in (1, -1)
+    }
+    assert len(elements) == 180
+    for g in elements:
+        w = element_to_word(g)
+        body = w[1:] if w.startswith("R") else w
+        assert "R" not in body
+        assert all((x == "T") != (y == "T") for x, y in zip(body, body[1:]))
+        assert word_to_element(w) == g
+        assert w == six_candidate_word(g)
+
+
 def test_word_bound_counts_every_letter():
     m = MAX_WORD_LETTERS // 2
     for g, letters in ((GroupElement(1, m + 1, 0, 1), 2 * m + 2),  # (TU)^(m+1)

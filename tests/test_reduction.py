@@ -95,6 +95,73 @@ def test_reduction_properties_bulk():
         assert result.steps <= limit
 
 
+def two_branch_reduce(form):
+    # reference loop: each pass either translates, swaps or stops
+    a, b, c = form
+    r, s, t, u = 1, 0, 0, 1
+    steps = 0
+    while True:
+        if not -a < b <= a:
+            m = -((a - b) // (2 * a))  # ceil((b - a) / (2a))
+            c = a * m * m - b * m + c
+            b = b - 2 * a * m
+            r, s = r + m * t, s + m * u
+            steps += 1
+        elif a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            r, s, t, u = -t, -u, r, s
+            steps += 1
+        else:
+            break
+    return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
+
+
+@st.composite
+def uniform_forms(draw, bound=10**6):
+    a, c = draw(st.integers(1, bound)), draw(st.integers(1, bound))
+    b_max = math.isqrt(4 * a * c - 1)
+    return QuadraticForm(a, draw(st.integers(-b_max, b_max)), c)
+
+
+@st.composite
+def continued_fraction_forms(draw):
+    """A small form moved by (q1 1 / 1 0)(q2 1 / 1 0)... up to 1024 bits, with
+    partial quotients of both signs, so that reduction takes many steps."""
+    f = draw(uniform_forms(50))
+    bits = draw(st.integers(1, 1024))
+    r, s, t, u = 1, 0, 0, 1
+    while max(abs(r), abs(s), abs(t), abs(u)).bit_length() < bits:
+        q = draw(st.integers(1, 2 ** draw(st.integers(1, 40)))) * draw(st.sampled_from((1, -1)))
+        r, s, t, u = r * q + s, r, t * q + u, t
+    return act_on_form(GroupElement(r, s, t, u), f)
+
+
+@st.composite
+def tie_forms(draw):
+    """b = -a, or a = c with b < 0, possibly moved by a translation that the
+    reduction undoes first."""
+    a = draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        f = QuadraticForm(a, -a, draw(st.integers(a // 4 + 1, 10**6 + a)))
+    else:
+        f = QuadraticForm(a, -draw(st.integers(1, 2 * a - 1)), a)
+    m = draw(st.integers(-3, 3))  # act by (1 m / 0 1): b -> b + 2am
+    return act_on_form(GroupElement(1, m, 0, 1), f)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.one_of(uniform_forms(), continued_fraction_forms(), tie_forms()),
+    st.sampled_from((1, 1, 2, 6, 10**9)),
+)
+def test_reduce_matches_two_branch_loop(f, content):
+    # one pass of _reduce translates and then swaps; the reduced form, the
+    # witness and the step count are those of the two-branch loop
+    f = QuadraticForm(content * f.a, content * f.b, content * f.c)
+    reduced, witness, steps = reduction._reduce(f)
+    assert (reduced, witness, steps) == two_branch_reduce(f)
+
+
 @settings(deadline=None)
 @given(moved_forms())
 def test_word_is_the_witness_normal_form(f):

@@ -52,6 +52,51 @@ def test_fixed_bases_are_a_proof_below_psi_12(monkeypatch):
     assert calls == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+# psi_k for k = 1..12: the least strong pseudoprime to the first k bases (OEIS A014233)
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461]
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def twelve_bases(n):
+    # reference below psi_12: trial division by the bases, then all twelve strong tests
+    if n in BASES:
+        return True
+    if n < 2 or any(n % p == 0 for p in BASES):
+        return False
+    return all(residues._miller_rabin(n, b) for b in BASES)
+
+
+def test_first_k_bases_below_psi_k(monkeypatch):
+    for k, psi in enumerate(PSI, 1):  # k bases are no proof at psi_k itself
+        assert all(residues._miller_rabin(psi, b) for b in BASES[:k])
+    for psi in set(PSI):
+        assert not is_prime(psi)
+    # the least and the greatest prime of each nonempty [psi_(k-1), psi_k), where
+    # psi_0 = 41 is the least prime that trial division by the bases leaves
+    probes = []
+    for k, (lo, hi) in enumerate(zip([41, *PSI], PSI), 1):
+        if lo < hi:
+            probes.append((k, next(n for n in range(lo, hi) if twelve_bases(n))))
+            probes.append((k, next(n for n in range(hi - 1, lo, -1) if twelve_bases(n))))
+    assert sorted({k for k, _ in probes}) == [1, 2, 3, 4, 5, 6, 7, 9, 12]
+    calls = []
+    real = residues._miller_rabin
+    monkeypatch.setattr(residues, "_miller_rabin", lambda n, b: calls.append(b) or real(n, b))
+    for k, p in probes:
+        calls.clear()
+        assert residues.is_prime.__wrapped__(p)  # past the cache, which earlier tests fill
+        assert calls == list(BASES[:k]), p
+
+
+def test_first_k_bases_agree_with_all_twelve():
+    rng = random.Random(0x5E)
+    for _ in range(4000):
+        n = rng.randrange(3, min(2 ** rng.randint(3, 79), PSI[-1])) | 1
+        assert residues.is_prime.__wrapped__(n) == twelve_bases(n), n
+
+
 def test_lucas_step_rejects_psi_13():
     psi_13 = 3317044064679887385961981  # strong pseudoprime to the bases 2..41
     assert all(residues._miller_rabin(psi_13, b) for b in residues._MR_BASES_SMALL)
