@@ -195,6 +195,16 @@ def _cmd_plot(args) -> tuple[None, str]:
     return None, render_region_svg(markers, args.region)
 
 
+def _parse_as(cls):
+    """cls.parse as an argparse type: a malformed value's error names its format."""
+    def parse(text: str):
+        try:
+            return cls.parse(text)
+        except ValueError as exc:  # argparse would print "invalid parse value"
+            raise argparse.ArgumentTypeError(exc) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bqf",
@@ -211,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("reduce", _cmd_reduce, help="reduce a form, printing a witness")
-    p.add_argument("form", type=QuadraticForm.parse)
+    p.add_argument("form", type=_parse_as(QuadraticForm))
 
     p = add("equiv", _cmd_equiv, help="test two forms for equivalence")
-    p.add_argument("form", type=QuadraticForm.parse)
-    p.add_argument("other", type=QuadraticForm.parse)
+    p.add_argument("form", type=_parse_as(QuadraticForm))
+    p.add_argument("other", type=_parse_as(QuadraticForm))
     p.add_argument("--mode", choices=("proper", "extended"), default="proper")
 
     p = add("class-number", _cmd_class_number, help="count primitive reduced forms")
@@ -227,22 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primitive", action="store_true", help="primitive forms only")
 
     p = add("base-point", _cmd_base_point, help="upper half-plane root of a form")
-    p.add_argument("form", type=QuadraticForm.parse)
+    p.add_argument("form", type=_parse_as(QuadraticForm))
 
     p = add("point-form", _cmd_point_form, help="primitive form owning a point")
-    p.add_argument("point", type=AlgebraicPoint.parse)
+    p.add_argument("point", type=_parse_as(AlgebraicPoint))
 
     p = add("legendre", _cmd_legendre, help="Legendre symbol (value/p)")
     p.add_argument("value", type=int)
     p.add_argument("p", type=int)
 
     p = add("orbit", _cmd_orbit, help="breadth-first orbit of a quadratic irrational")
-    p.add_argument("element", type=QuadFieldElement.parse)
+    p.add_argument("element", type=_parse_as(QuadFieldElement))
     p.add_argument("--depth", type=int, default=8)
 
     p = add("check-t32", _cmd_check_t32, help="orbit membership vs form equivalence")
-    p.add_argument("alpha", type=QuadFieldElement.parse)
-    p.add_argument("beta", type=QuadFieldElement.parse)
+    p.add_argument("alpha", type=_parse_as(QuadFieldElement))
+    p.add_argument("beta", type=_parse_as(QuadFieldElement))
     p.add_argument("--depth", type=int, default=8)
 
     p = sub.add_parser("plot", help="SVG of points in a fundamental region")
@@ -268,13 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
     if verb is None or extra:  # no verb first, or unknown arguments: the full parser's error
         args = parser.parse_args(argv)
-    if argv.count("--") > 1:  # argparse up to 3.13.0 drops the second "--": the next
-        for x in verb._get_positional_actions():  # positional is [], its type never called,
-            value = getattr(args, x.dest)  # or a "*" positional keeps "--" as an item
-            if x.nargs is None and value == []:
-                verb.error(f"argument {x.dest}: expected one argument")
-            if x.nargs == "*" and "--" in value:
-                verb.error(f"argument {x.dest}: invalid value: '--'")
+    if argv.count("--") > 1:  # no value is "--", and argparse up to 3.13.0 mishandles a
+        verb.error("'--' may be given only once")  # second one; other usage errors come first
     try:
         data, text = args.handler(args)
         out_path = getattr(args, "out", "-")

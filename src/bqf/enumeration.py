@@ -46,7 +46,7 @@ def _prime_power_roots(delta: int, p: int, q: int, roots: dict) -> list[int]:
     return roots[q]
 
 
-def _candidates(delta: int, almost: bool) -> list[tuple[int, int, int]]:
+def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, int, int]]:
     # reduced (a, b, c), or almost-reduced ones, in (a, b) order; b in (-a, a], sorted
     validate_discriminant(delta)
     if -delta > MAX_ABS_DELTA:
@@ -88,7 +88,7 @@ def _candidates(delta: int, almost: bool) -> list[tuple[int, int, int]]:
             bs.insert(0, -a)
         for b in bs:
             c = (b * b - delta) // (4 * a)
-            if c > a or c == a and (almost or b >= 0):
+            if (c > a or c == a and (almost or b >= 0)) and (not primitive or gcd(a, b, c) == 1):
                 out.append((a, b, c))
     return out
 
@@ -98,23 +98,21 @@ def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[Quadrati
 
     Raises ValueError when |delta| exceeds MAX_ABS_DELTA = 10^10.
     """
-    triples = _candidates(delta, almost=False)
-    return [QuadraticForm(*t) for t in triples if not primitive_only or gcd(*t) == 1]
+    return [QuadraticForm(*t) for t in _candidates(delta, False, primitive_only)]
 
 
 def enumerate_almost_reduced(
     delta: int, primitive_only: bool = False
 ) -> list[QuadraticForm]:
     """Like enumerate_reduced but keeping both boundary mirrors."""
-    triples = _candidates(delta, almost=True)
-    return [QuadraticForm(*t) for t in triples if not primitive_only or gcd(*t) == 1]
+    return [QuadraticForm(*t) for t in _candidates(delta, True, primitive_only)]
 
 
 def class_number(delta: int) -> int:
     """h(delta): the number of primitive reduced forms; |delta| <= 10^10."""
-    return sum(gcd(*t) == 1 for t in _candidates(delta, almost=False))
+    return len(_candidates(delta, False, True))
 
 
 def almost_reduced_count(delta: int) -> int:
     """Count of almost reduced forms, primitivity not required; |delta| <= 10^10."""
-    return len(_candidates(delta, almost=True))
+    return len(_candidates(delta, True, False))

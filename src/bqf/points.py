@@ -123,9 +123,7 @@ def in_fundamental_domain_pi(z: AlgebraicPoint) -> bool:
 def in_fundamental_domain_pibar(z: AlgebraicPoint) -> bool:
     """Fundamental region of the full extended group, boundary ties included.
 
-    Membership is read off the primitive form of z: reduced with b >= 0,
-    which pins 0 <= Re(z) <= 1/2 and |z| >= 1 with the same tie
-    conventions as is_reduced.
+    It is the half Re(z) >= 0 of Pi, which the reflection z -> -conj(z) cuts
+    off; there the primitive form of z is reduced with b >= 0.
     """
-    form, _ = form_from_point(z)
-    return form.b >= 0 and form.is_reduced()
+    return z.p >= 0 and in_fundamental_domain_pi(z)

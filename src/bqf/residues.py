@@ -101,11 +101,9 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     if p % 4 == 3 or n == 0:  # for n = 0, t = 0 below would never reach 1
         r = pow(n, (p + 1) // 4, p)
         return r if r * r % p == n else None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q, z = (p - 1) >> s, 2
+    while _jacobi(z, p) != -1:
         z += 1
     c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:
@@ -151,8 +149,7 @@ def residue_complement_law(p: int, a: int) -> bool:
     The answer depends only on p mod 4: yes exactly when p = 1 (mod 4).
     The computed truth is checked against that prediction on every call.
     """
-    _require_odd_prime(p)
-    if legendre(a, p) != 1:
+    if legendre(a, p) != 1:  # legendre validates p
         raise ValueError(f"{a} is not a quadratic residue of {p}")
     computed = legendre(p - a, p) == 1
     if computed != (p % 4 == 1):

@@ -259,6 +259,20 @@ def test_usage_errors_exit_two():
     assert (code, out, err) == full_parse(["reduce", "-h"])
 
 
+def test_malformed_value_names_its_format():
+    # argparse would name the type callable, "invalid parse value"; the message
+    # names the value's format instead, still as the full parser's usage error
+    for argv, message in (
+        (["reduce", "abc"], "argument form: expected 'a,b,c', got 'abc'"),
+        (["point-form", "1,2"], "argument point: expected 'p,q,D', got '1,2'"),
+        (["orbit", "1/2"], "argument element: expected 'a/c/n', got '1/2'"),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"bqf {argv[0]}: error: {message}\n"), err
+        assert (code, out, err) == full_parse(argv), argv
+
+
 def test_second_double_dash_is_a_usage_error():
     # argparse up to 3.13.0 drops the second "--" and hands the next positional
     # an unconverted []; main must report that as a usage error, not a traceback
@@ -271,6 +285,7 @@ def test_second_double_dash_is_a_usage_error():
         assert code == 2, argv
         assert out == ""
         assert "usage:" in err and "Traceback" not in err, argv
+        assert err.endswith(f"bqf {argv[0]}: error: '--' may be given only once\n"), argv
 
 
 def test_second_double_dash_among_plot_items_is_a_usage_error():
@@ -280,6 +295,7 @@ def test_second_double_dash_among_plot_items_is_a_usage_error():
         assert code == 2, argv
         assert out == ""
         assert "usage:" in err and "Traceback" not in err, argv
+        assert err.endswith(f"bqf {argv[0]}: error: '--' may be given only once\n"), argv
 
 
 def test_values_may_start_with_minus():

@@ -230,6 +230,8 @@ def test_root_enumeration_matches_box_scan_exhaustively():
             assert enumerate_almost_reduced(delta, primitive_only) == [
                 f for f in kept if f.is_almost_reduced()
             ], delta
+        assert class_number(delta) == sum(f.is_reduced() and f.is_primitive() for f in box), delta
+        assert almost_reduced_count(delta) == sum(f.is_almost_reduced() for f in box), delta
 
 
 def test_enumeration_bound():

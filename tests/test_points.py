@@ -17,6 +17,7 @@ from bqf import (
     act_on_point,
     base_point,
     base_point_transform,
+    enumerate_almost_reduced,
     form_from_point,
     in_fundamental_domain_pi,
     in_fundamental_domain_pibar,
@@ -292,3 +293,18 @@ def test_domain_membership_mirrors_reduction_shape():
         z = base_point(f)
         assert in_fundamental_domain_pi(z) == f.is_almost_reduced()
         assert in_fundamental_domain_pibar(z) == (f.is_reduced() and f.b >= 0)
+
+    def form_based_pibar(z):  # the earlier predicate, read off the primitive form of z
+        form, _ = form_from_point(z)
+        return form.b >= 0 and form.is_reduced()
+
+    # the boundary points: every almost-reduced form, so the ties b = -a, b = a,
+    # a = c and b = 0 all occur, primitive or not
+    for delta in range(-2000, -2):
+        if delta % 4 not in (0, 1):
+            continue
+        for f in enumerate_almost_reduced(delta):
+            z = base_point(f)
+            assert in_fundamental_domain_pi(z), f
+            assert in_fundamental_domain_pibar(z) == form_based_pibar(z), f
+            assert in_fundamental_domain_pibar(z) == (f.is_reduced() and f.b >= 0), f

@@ -322,3 +322,13 @@ def test_sqrt_mod_prime_agrees_with_euler():
             else:
                 assert r is None
         assert sqrt_mod_prime(p, p) == 0
+    # every p = 1 (mod 4) below 2^16, the whole range enumeration calls it with:
+    # each p finds its own non-residue z
+    for p in sieve_odd_primes(1 << 16):
+        if p % 4 == 1:
+            for n in (1, 2, 3, p - 1, *(rng.randrange(1, p) for _ in range(4))):
+                r = sqrt_mod_prime(n, p)
+                if pow(n, (p - 1) // 2, p) == 1:
+                    assert r is not None and r * r % p == n, (n, p)
+                else:
+                    assert r is None, (n, p)
