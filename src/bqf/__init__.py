@@ -7,101 +7,21 @@ Everything is integer or rational arithmetic; floats appear only when the
 CLI renders SVG.
 """
 
-from .enumeration import (
-    almost_reduced_count,
-    class_number,
-    enumerate_almost_reduced,
-    enumerate_reduced,
-    validate_discriminant,
-)
-from .forms import QuadraticForm
-from .group import (
-    IDENTITY,
-    R,
-    T,
-    U,
-    V,
-    GroupElement,
-    act_on_form,
-    act_on_point,
-    base_point_transform,
-    compose,
-    element_to_word,
-    generator_element,
-    inverse,
-    normalize_word,
-    word_to_element,
-)
-from .points import (
-    AlgebraicPoint,
-    base_point,
-    form_from_point,
-    in_fundamental_domain_pi,
-    in_fundamental_domain_pibar,
-)
-from .qfield import (
-    QuadFieldElement,
-    SameOrbitReport,
-    element_form,
-    membership,
-    norm,
-    orbit_explore,
-    same_orbit_form_check,
-)
+from .enumeration import *
+from .forms import *
+from .group import *
+from .points import *
+from .qfield import *
 from .qfield import act as act_on_element
-from .reduction import ReductionResult, equivalent, minimum_represented, reduce_form
-from .residues import (
-    is_prime,
-    legendre,
-    quadratic_residues,
-    residue_complement_law,
-    scaled_form_criterion,
-    scaled_representation_oracle,
-)
+from .reduction import *
+from .residues import *
 
-__all__ = [
-    "AlgebraicPoint",
-    "GroupElement",
-    "IDENTITY",
-    "QuadFieldElement",
-    "QuadraticForm",
-    "R",
-    "ReductionResult",
-    "SameOrbitReport",
-    "T",
-    "U",
-    "V",
-    "act_on_element",
-    "act_on_form",
-    "act_on_point",
-    "almost_reduced_count",
-    "base_point",
-    "base_point_transform",
-    "class_number",
-    "compose",
-    "element_form",
-    "element_to_word",
-    "enumerate_almost_reduced",
-    "enumerate_reduced",
-    "equivalent",
-    "form_from_point",
-    "generator_element",
-    "in_fundamental_domain_pi",
-    "in_fundamental_domain_pibar",
-    "inverse",
-    "is_prime",
-    "legendre",
-    "membership",
-    "minimum_represented",
-    "norm",
-    "normalize_word",
-    "orbit_explore",
-    "quadratic_residues",
-    "reduce_form",
-    "residue_complement_law",
-    "same_orbit_form_check",
-    "scaled_form_criterion",
-    "scaled_representation_oracle",
-    "validate_discriminant",
-    "word_to_element",
-]
+# each module's __all__ names what it exports; the package re-exports all of them
+__all__ = ["act_on_element"]
+__all__ += enumeration.__all__
+__all__ += forms.__all__
+__all__ += group.__all__
+__all__ += points.__all__
+__all__ += qfield.__all__
+__all__ += reduction.__all__
+__all__ += residues.__all__

@@ -55,9 +55,13 @@ class Value(tuple):
             raise TypeError(f"{cls.__name__} has no text form to parse")
         sep, mid = fmt[2], fmt[5]  # the first two separators
         parts = text.replace(mid, sep).split(sep)
-        if len(parts) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):
+        try:
+            ints = [int(part) for part in parts]
+        except ValueError:  # the format's error, not int()'s; cls keeps its own
+            ints = []
+        if len(ints) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):
             raise ValueError(f"expected {fmt % cls._fields!r}, got {text!r}")
-        return cls(*map(int, parts))
+        return cls(*ints)
 
     @classmethod
     def _make(cls, iterable):

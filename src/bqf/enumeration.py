@@ -17,6 +17,9 @@ from math import gcd, isqrt
 from .forms import QuadraticForm
 from .residues import smallest_prime_factors, sqrt_mod_prime
 
+__all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
+           "enumerate_reduced", "validate_discriminant"]
+
 MAX_ABS_DELTA = 10**10
 
 

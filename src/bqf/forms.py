@@ -7,6 +7,8 @@ from collections import namedtuple
 
 from ._value import Value
 
+__all__ = ["QuadraticForm"]
+
 
 class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
     """A form [a, b, c] with exact integer coefficients.

@@ -22,6 +22,10 @@ from ._value import Value
 from .forms import QuadraticForm
 from .points import AlgebraicPoint
 
+__all__ = ["IDENTITY", "R", "T", "U", "V", "GroupElement", "act_on_form", "act_on_point",
+           "base_point_transform", "compose", "element_to_word", "generator_element", "inverse",
+           "normalize_word", "word_to_element"]
+
 
 class GroupElement(Value, namedtuple("GroupElement", "r s t u")):
     """Matrix (r s / t u) with ru - st = +-1, stored modulo sign.

@@ -20,6 +20,9 @@ from ._value import Value
 from .forms import QuadraticForm
 from .residues import is_prime, smallest_prime_factors
 
+__all__ = ["AlgebraicPoint", "base_point", "form_from_point", "in_fundamental_domain_pi",
+           "in_fundamental_domain_pibar"]
+
 
 @functools.cache
 def _prime_flags() -> bytes:

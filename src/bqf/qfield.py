@@ -22,6 +22,9 @@ from .group import GroupElement, _mobius
 from .points import AlgebraicPoint
 from .reduction import equivalent
 
+__all__ = ["QuadFieldElement", "SameOrbitReport", "element_form", "membership", "norm",
+           "orbit_explore", "same_orbit_form_check"]
+
 MAX_ORBIT_DEPTH = 12
 
 

@@ -8,6 +8,8 @@ from ._value import Value
 from .forms import QuadraticForm
 from .group import R, GroupElement, element_to_word, inverse
 
+__all__ = ["ReductionResult", "equivalent", "minimum_represented", "reduce_form"]
+
 
 class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word steps")):
     """Reduced form plus the group element carrying the input onto it.

@@ -5,6 +5,9 @@ from __future__ import annotations
 import functools
 import math
 
+__all__ = ["is_prime", "legendre", "quadratic_residues", "residue_complement_law",
+           "scaled_form_criterion", "scaled_representation_oracle"]
+
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_k, the least strong pseudoprime to the first k bases (OEIS A014233), k = 1..12
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -95,12 +98,15 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None for a non-residue.
 
     Tonelli-Shanks, in one power when p = 3 (mod 4); both detect a
-    non-residue themselves. p is taken to be prime and is not tested.
+    non-residue themselves. p is not tested: a composite p may give a wrong None,
+    or ValueError where the method cannot go on, but every call ends.
     """
     n %= p
     if p % 4 == 3 or n == 0:  # for n = 0, t = 0 below would never reach 1
         r = pow(n, (p + 1) // 4, p)
         return r if r * r % p == n else None
+    if p % 2 == 0 or math.isqrt(p) ** 2 == p:  # no z below has (z/p) = -1
+        raise ValueError(f"{p} is not an odd prime")
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
     q, z = (p - 1) >> s, 2
     while _jacobi(z, p) != -1:
@@ -109,6 +115,8 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:
+            if i == s:  # t^(2^s) != 1, which no prime p allows
+                raise ValueError(f"{p} is not an odd prime")
             i, t2 = i + 1, t2 * t2 % p
         if i == s:  # t has order 2^s, so n^((p-1)/2) = -1
             return None

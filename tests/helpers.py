@@ -1,6 +1,8 @@
-"""Shared generators for the randomized tests."""
+"""Shared generators for the randomized tests, and a time bound."""
 
 import math
+import signal
+import time
 
 from bqf import QuadraticForm, word_to_element
 
@@ -37,3 +39,22 @@ def random_skewed_form(rng, max_coeff=10**6):
         if max(moved.a, abs(moved.b), moved.c) > max_coeff:
             return form
         form = moved
+
+
+def within_a_second(fn):
+    """fn(), failing when it takes a second or more; an alarm turns a call that
+    would never return into a failure too."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("no return within a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        result = fn()
+        assert time.perf_counter() - start < 1.0
+        return result
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from helpers import random_positive_definite, random_primitive_positive_definite
-from test_cli import GOLDENS, run as run_cli
+from test_cli import ALL_GOLDENS, run as run_cli
 
 from bqf import (
     IDENTITY,
@@ -262,12 +262,12 @@ def test_criterion_09_word_engine():
 
 
 def test_criterion_10_cli_goldens_stable():
-    commands = [argv for argv, _ in GOLDENS] + [
+    commands = [argv for argv, _ in ALL_GOLDENS] + [
         ["plot", "1,0,1", "--region", "pi"],
         ["plot", "1,1,6", "2,-1,3", "2,1,3", "--region", "pibar"],
     ]
     frozen = dict(
-        ((*argv,), want.replace("\r\n", "\n")) for argv, want in GOLDENS
+        ((*argv,), want.replace("\r\n", "\n")) for argv, want in ALL_GOLDENS
     )
     for argv in commands:
         first = run_cli(argv)

@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import re
+import shlex
 import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,52 +29,46 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# (argv, exact stdout) pairs.  Regenerate only after deliberate output changes.
+README = Path(__file__).resolve().parents[1] / "README.md"
+# README examples that write a file, not stdout; every other `$ bqf` example is a golden
+README_FILE_WRITERS = [
+    "plot 1,0,1 --region pi > unit.svg",
+    "plot 1,1,6 2,-1,3 2,1,3 --region pibar --out delta-23.svg",
+]
+
+
+def readme_examples():
+    """(command, stdout) of each `$ bqf` line in README.md's sh blocks, the stdout being
+    the lines after it up to the next `$` line or the end of the block."""
+    text = README.read_text(encoding="utf-8")
+    return [
+        example
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+        for example in re.findall(r"^\$ bqf (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)
+    ]
+
+
+README_GOLDENS = [
+    (shlex.split(command), out)
+    for command, out in readme_examples()
+    if command not in README_FILE_WRITERS
+]
+# (argv, exact stdout) pairs the README does not show.  Regenerate only after
+# deliberate output changes.
 GOLDENS = [
-    (["reduce", "11,49,55"], "reduced: 1,1,5\nword: VTVTVTUTU\nwitness: -3,-7;1,2\nsteps: 3\n"),
     (
         ["reduce", "11,49,55", "--format", "json"],
         '{"reduced": "1,1,5", "steps": 3, "witness": "-3,-7;1,2", "word": "VTVTVTUTU"}\n',
     ),
-    (["reduce", "1,1,1"], "reduced: 1,1,1\nword: \nwitness: 1,0;0,1\nsteps: 0\n"),
-    (["equiv", "2,1,3", "2,-1,3"], "equivalent: no\n"),
-    (
-        ["equiv", "2,1,3", "2,-1,3", "--mode", "extended"],
-        "equivalent: yes\nwitness: -1,0;0,1\nword: R\n",
-    ),
-    (["equiv", "1,0,5", "2,2,3"], "equivalent: no\n"),
-    (
-        ["equiv", "11,49,55", "1,1,5", "--format", "json"],
-        '{"equivalent": true, "witness": "-2,-7;1,3", "word": "VTVTUTUTU"}\n',
-    ),
-    (["class-number", "-23"], "h=3\n"),
     (["class-number", "-163", "--format", "json"], '{"h": 1}\n'),
-    (["enumerate", "-23"], "1,1,6\n2,-1,3\n2,1,3\nh=3\n"),
-    (["enumerate", "-23", "--almost"], "1,-1,6\n1,1,6\n2,-1,3\n2,1,3\nh=4\n"),
-    (["enumerate", "-20", "--primitive"], "1,0,5\n2,2,3\nh=2\n"),
     (["enumerate", "-20", "--format", "json"], '{"forms": ["1,0,5", "2,2,3"], "h": 2}\n'),
-    (["base-point", "2,2,3"], "1,2,-5\n"),
     (["base-point", "11,49,55", "--format", "json"], '{"point": "49,22,-19"}\n'),
-    (["point-form", "1,2,-5"], "form: 2,2,3\nscale: 1/3\n"),
-    (["point-form", "0,1,-1"], "form: 1,0,1\nscale: 1\n"),
-    (["point-form", "-1,2,-5"], "form: 2,-2,3\nscale: 1/3\n"),
     (["point-form", "0,1,-1", "--format", "json"], '{"form": "1,0,1", "scale": "1"}\n'),
-    (["legendre", "-1", "37"], "1\n"),
-    (["legendre", "-1", "79"], "-1\n"),
     (["legendre", "-1", "37", "--format", "json"], '{"legendre": 1}\n'),
-    (
-        ["orbit", "1/2/5", "--depth", "2"],
-        "-4/3/5\n-3/7/5\n-2/3/5\n-1/2/5\n-1/3/5\n1/2/5\n3/2/5\n4/7/5\ncount=8\n",
-    ),
     (
         ["orbit", "1/2/5", "--depth", "2", "--format", "json"],
         '{"count": 8, "elements": ["-4/3/5", "-3/7/5", "-2/3/5", "-1/2/5",'
         ' "-1/3/5", "1/2/5", "3/2/5", "4/7/5"]}\n',
-    ),
-    (
-        ["check-t32", "1/2/5", "3/2/5", "--depth", "8"],
-        "alpha-form: 2,-2,3\nbeta-form: 2,-6,7\nforms-equivalent: yes\n"
-        "reachable: yes\ndepth: 8\nconsistent: yes\n",
     ),
     (
         ["check-t32", "0/1/5", "1/2/5", "--depth", "6", "--format", "json"],
@@ -79,10 +76,20 @@ GOLDENS = [
         ' "depth": 6, "forms_equivalent": false, "reachable": false}\n',
     ),
 ]
+ALL_GOLDENS = README_GOLDENS + GOLDENS
+
+
+def test_readme_examples_are_goldens():
+    # each README example is a golden but the named file writers, and none is
+    # written again in GOLDENS
+    commands = [command for command, _ in readme_examples()]
+    assert set(README_FILE_WRITERS) <= set(commands)
+    assert len(README_GOLDENS) == len(commands) - len(README_FILE_WRITERS) >= 21
+    assert not {shlex.join(argv) for argv, _ in GOLDENS} & set(commands)
 
 
 def test_goldens_exact():
-    for argv, want in GOLDENS:
+    for argv, want in ALL_GOLDENS:
         code, out, err = run(argv)
         assert code == 0, (argv, err)
         assert err == ""
@@ -90,14 +97,14 @@ def test_goldens_exact():
 
 
 def test_goldens_deterministic():
-    for argv, _ in GOLDENS:
+    for argv, _ in ALL_GOLDENS:
         first = run(argv)
         second = run(argv)
         assert first == second, argv
 
 
 def test_json_goldens_parse():
-    for argv, want in GOLDENS:
+    for argv, want in ALL_GOLDENS:
         if "json" not in argv:
             continue
         assert json.loads(want) == json.loads(run(argv)[1])
@@ -266,6 +273,12 @@ def test_malformed_value_names_its_format():
         (["reduce", "abc"], "argument form: expected 'a,b,c', got 'abc'"),
         (["point-form", "1,2"], "argument point: expected 'p,q,D', got '1,2'"),
         (["orbit", "1/2"], "argument element: expected 'a/c/n', got '1/2'"),
+        # an int part that does not parse is the format's error too, not int()'s
+        (["equiv", "1,0,1", "1,1,x"], "argument other: expected 'a,b,c', got '1,1,x'"),
+        (["point-form", "1,1,x"], "argument point: expected 'p,q,D', got '1,1,x'"),
+        (["orbit", "1/1/x"], "argument element: expected 'a/c/n', got '1/1/x'"),
+        # a value that parses keeps its own domain error
+        (["point-form", "1,0,-3"], "argument point: denominator q must be positive"),
     ):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv

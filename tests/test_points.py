@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from bqf import (
 from bqf import points
 from bqf.residues import smallest_prime_factors
 
-from helpers import random_element, random_positive_definite
+from helpers import random_element, random_positive_definite, within_a_second
 
 
 def moebius_oracle(g, z):
@@ -164,16 +163,9 @@ def test_normalization_beyond_trial_bound_is_canonical():
     assert base_point(form_from_point(z)[0]) == z
 
 
-def _within_a_second(fn):
-    start = time.perf_counter()
-    result = fn()
-    assert time.perf_counter() - start < 1.0
-    return result
-
-
 def test_base_point_of_100_bit_prime_form_is_fast():
     p = 2**100 - 15  # prime
-    z = _within_a_second(lambda: base_point(QuadraticForm(p, p, p + 1)))
+    z = within_a_second(lambda: base_point(QuadraticForm(p, p, p + 1)))
     assert triple(z) == (p, 2 * p, -3 * p * p - 4 * p)
 
 
@@ -188,14 +180,14 @@ def test_act_on_point_with_300_bit_witness_is_fast():
     assert max(form.a, abs(form.b), form.c).bit_length() >= 300
     res = reduce_form(form)
     g = base_point_transform(res.witness)
-    w = _within_a_second(lambda: act_on_point(g, base_point(form)))
+    w = within_a_second(lambda: act_on_point(g, base_point(form)))
     assert w == base_point(res.reduced)
 
 
 def test_trial_loop_worst_case_is_fast():
     # M' = l * m with two 40-bit primes: no early stop, every prime <= 2^16 tried
     ell, m = 2**40 - 87, 2**40 - 167
-    z = _within_a_second(lambda: AlgebraicPoint(0, ell * m, -ell * m))
+    z = within_a_second(lambda: AlgebraicPoint(0, ell * m, -ell * m))
     assert triple(z) == (0, ell * m, -ell * m)
 
 

@@ -16,6 +16,8 @@ from bqf import (
 from bqf import residues
 from bqf.residues import sqrt_mod_prime
 
+from helpers import within_a_second
+
 
 def sieve_odd_primes(limit):
     flags = bytearray([1]) * limit
@@ -332,3 +334,26 @@ def test_sqrt_mod_prime_agrees_with_euler():
                     assert r is not None and r * r % p == n, (n, p)
                 else:
                     assert r is None, (n, p)
+
+
+def test_sqrt_mod_prime_ends_when_p_is_no_odd_prime():
+    # no primality test runs, so an even or composite p must still end, in a root,
+    # None or ValueError: 2 and a square such as 9 or 25 have no z with (z/p) = -1,
+    # and for 21 and 45 some t has an order that is no power of 2, so t^(2^i) != 1
+    def sweep():
+        raised = set()
+        for p in range(2, 2000):
+            if p % 2 and is_prime(p):
+                continue
+            for n in (1, 2, 3, 5, 7, p - 1, p // 2):
+                try:
+                    r = sqrt_mod_prime(n, p)
+                except ValueError as exc:
+                    assert str(exc) == f"{p} is not an odd prime"
+                    raised.add(p)
+                else:
+                    assert r is None or r * r % p == n % p, (n, p)
+        return raised
+
+    raised = within_a_second(sweep)
+    assert {2, 9, 21, 25, 45} <= raised

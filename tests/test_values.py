@@ -150,6 +150,9 @@ def test_sorted_within_a_kind_is_by_fields(values):
         (AlgebraicPoint, "1;2;-5", "expected 'p,q,D', got '1;2;-5'"),
         (QuadFieldElement, "1/2/5/7", "expected 'a/c/n', got '1/2/5/7'"),
         (QuadFieldElement, "1,2,5", "expected 'a/c/n', got '1,2,5'"),
+        (QuadraticForm, "1,1,x", "expected 'a,b,c', got '1,1,x'"),
+        (GroupElement, "1,0;0,x", "expected 'r,s;t,u', got '1,0;0,x'"),
+        (AlgebraicPoint, "1,0,-3", "denominator q must be positive"),
     ],
 )
 def test_parse_error_names_the_text_form(kind, text, message):
