@@ -14,8 +14,7 @@ import itertools
 import math
 import re
 import sys
-from collections.abc import Iterator
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduced
 from .forms import QuadraticForm
@@ -44,25 +43,58 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _plot_order(points: list[AlgebraicPoint]) -> Iterator[tuple[float, AlgebraicPoint]]:
+def _plot_order(points: list[AlgebraicPoint]) -> list[tuple[float, AlgebraicPoint]]:
     """(float Re, point) pairs in exact (Re, |z|^2) order.
 
     Correctly rounded floats of Re are monotone, so distinct ones already
     agree with that order; only runs of equal floats are sorted by Fractions.
     An Re past the float range keys as ±inf, tying with the others there.
     """
-    keyed = []
-    for z in points:
-        try:
-            keyed.append((z.p / z.q, z))
-        except OverflowError:
-            keyed.append((math.inf if z.p > 0 else -math.inf, z))
-    keyed.sort(key=itemgetter(0))
-    for _, run in itertools.groupby(keyed, key=itemgetter(0)):
-        run = list(run)
-        if len(run) > 1:
+    try:
+        xs = [p / q for p, q, _ in points]
+    except OverflowError:  # rare: an Re past the float range, keyed point by point
+        xs = []
+        for p, q, _ in points:
+            try:
+                xs.append(p / q)
+            except OverflowError:
+                xs.append(math.inf if p > 0 else -math.inf)
+    keyed = sorted(zip(xs, points), key=itemgetter(0))
+    xs = list(map(itemgetter(0), keyed))
+    end = 0
+    for i in itertools.compress(range(1, len(xs)), map(eq, xs, xs[1:])):
+        if i >= end:  # xs[i - 1] == xs[i] starts a run of equal floats; sort it exactly
+            end = i + 1
+            while end < len(xs) and xs[end] == xs[i]:
+                end += 1
+            run = keyed[i - 1 : end]
             run.sort(key=lambda pair: (pair[1].re(), pair[1].abs_sq()))
-        yield from run
+            keyed[i - 1 : end] = run
+    return keyed
+
+
+@functools.cache
+def _frame(region: str) -> str:
+    """The SVG up to its markers: header, the region's two walls and its arc."""
+    width, height = int((_XMAX - _XMIN) * _SCALE), int(_YMAX * _SCALE)
+    left = -0.5 if region == "pi" else 0.0
+    y_left = math.sqrt(3) / 2 if region == "pi" else 1.0
+    a_left = 2 * math.pi / 3 if region == "pi" else math.pi / 2
+    ts = [a_left + (math.pi / 3 - a_left) * i / _ARC_SEGMENTS for i in range(_ARC_SEGMENTS + 1)]
+    steps = [f"{_f(_sx(math.cos(t)))} {_f(_sy(math.sin(t)))}" for t in ts]
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        '<g stroke="#222222" stroke-width="1.5" fill="none">',
+        f'<line x1="{_f(_sx(left))}" y1="{_f(_sy(y_left))}" '
+        f'x2="{_f(_sx(left))}" y2="{_f(_sy(_YMAX))}"/>',
+        f'<line x1="{_f(_sx(0.5))}" y1="{_f(_sy(math.sqrt(3) / 2))}" '
+        f'x2="{_f(_sx(0.5))}" y2="{_f(_sy(_YMAX))}"/>',
+        '<path d="M ' + " L ".join(steps) + '"/>',
+        "</g>",
+        '<g fill="#335577">\n',
+    ])
 
 
 def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
@@ -76,39 +108,20 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
     if len(points) > _POINT_LIMIT:
         raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
-    width = int((_XMAX - _XMIN) * _SCALE)
-    height = int(_YMAX * _SCALE)
-    left = -0.5 if region == "pi" else 0.0
-    y_left = math.sqrt(3) / 2 if region == "pi" else 1.0
-    a_left = 2 * math.pi / 3 if region == "pi" else math.pi / 2
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        '<g stroke="#222222" stroke-width="1.5" fill="none">',
-        f'<line x1="{_f(_sx(left))}" y1="{_f(_sy(y_left))}" '
-        f'x2="{_f(_sx(left))}" y2="{_f(_sy(_YMAX))}"/>',
-        f'<line x1="{_f(_sx(0.5))}" y1="{_f(_sy(math.sqrt(3) / 2))}" '
-        f'x2="{_f(_sx(0.5))}" y2="{_f(_sy(_YMAX))}"/>',
-    ]
-    steps = []
-    for i in range(_ARC_SEGMENTS + 1):
-        theta = a_left + (math.pi / 3 - a_left) * i / _ARC_SEGMENTS
-        steps.append(f"{_f(_sx(math.cos(theta)))} {_f(_sy(math.sin(theta)))}")
-    out.append('<path d="M ' + " L ".join(steps) + '"/>')
-    out.append("</g>")
-    out.append('<g fill="#335577">')
-    for x, z in _plot_order(points):
-        try:
-            if math.isinf(x):
-                raise OverflowError
-            cy = _sy(math.sqrt(-z.D) / z.q)
-        except OverflowError:
-            raise ValueError(f"point {z} does not fit in a float") from None
-        out.append(f'<circle cx="{_f(_sx(x))}" cy="{_f(cy)}" r="4"/>')
-    out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    keyed = _plot_order(points)
+    try:
+        if keyed and (math.isinf(keyed[0][0]) or math.isinf(keyed[-1][0])):
+            raise OverflowError  # an Re past the float range; ±inf keys sort to the ends
+        coords = [c for x, (_, q, d) in keyed  # _sx(x), _sy(Im) of each marker, inlined
+                  for c in ((x - _XMIN) * _SCALE, (_YMAX - math.sqrt(-d) / q) * _SCALE)]
+    except OverflowError:  # rescan in marker order; int(±inf) raises OverflowError too
+        for x, z in keyed:
+            try:
+                int(x), math.sqrt(-z.D) / z.q
+            except OverflowError:
+                raise ValueError(f"point {z} does not fit in a float") from None
+    markers = ('<circle cx="%.6f" cy="%.6f" r="4"/>\n' * len(keyed)) % tuple(coords)
+    return _frame(region) + markers + "</g>\n</svg>\n"
 
 
 def _fields(data: dict) -> str:

@@ -39,7 +39,7 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     m = q * q // h
     rest = m // math.gcd(m, den_re * den_re)  # M'
     k = 1
-    if not is_prime(rest):
+    if rest > 1 and not is_prime(rest):  # rest = 1 for most points with gcd(p, q) > 1
         for f in itertools.compress(range(2, 1 << 16), _prime_flags()):
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break

@@ -88,8 +88,12 @@ def _require_odd_prime(p: int) -> None:
 
 
 def legendre(value: int, p: int) -> int:
-    """Legendre symbol (value/p); 0 when p divides value. For an odd prime p it
-    is the Jacobi symbol, read off by reciprocity in O(log p) steps, no power."""
+    """Legendre symbol (value/p); 0 when p divides value. A p below 2^16 is looked
+    up in the one prime table and answered by Euler's criterion, one C-level pow;
+    a larger p is proved prime, and the symbol read off as the Jacobi symbol by
+    reciprocity in O(log p) steps."""
+    if 2 < p < 1 << 16 and not smallest_prime_factors()[p]:
+        return (pow(value, p >> 1, p) + 1) % p - 1  # 0, 1 and p - 1 read 0, 1 and -1
     _require_odd_prime(p)
     return _jacobi(value, p)
 

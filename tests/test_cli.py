@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import re
 import shlex
 import signal
@@ -14,9 +15,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqf import cli
+from bqf import base_point, cli
 from bqf.cli import main, render_region_svg
 from bqf.points import AlgebraicPoint
+
+from helpers import random_positive_definite
 
 
 def run(argv):
@@ -148,6 +151,8 @@ def test_domain_errors_exit_one():
             "error: word of 200000000 letters exceeds the word bound 10^8\n",
         ),
         (["plot", "1,3,1"], "error: base point defined only for positive definite forms\n"),
+        (["plot", "1,0,1", "1_1,4_9,55"], "error: expected 'a,b,c', got '1_1,4_9,55'\n"),
+        (["plot", "--points", "0,1,-\u0661"], "error: expected 'p,q,D', got '0,1,-\u0661'\n"),
         (
             ["plot", "--points", "1,1,-1" + "0" * 400],
             "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
@@ -277,6 +282,8 @@ def test_malformed_value_names_its_format():
         (["equiv", "1,0,1", "1,1,x"], "argument other: expected 'a,b,c', got '1,1,x'"),
         (["point-form", "1,1,x"], "argument point: expected 'p,q,D', got '1,1,x'"),
         (["orbit", "1/1/x"], "argument element: expected 'a/c/n', got '1/1/x'"),
+        (["reduce", "1_1,4_9,55"], "argument form: expected 'a,b,c', got '1_1,4_9,55'"),
+        (["reduce", "\u0661,1,5"], "argument form: expected 'a,b,c', got '\u0661,1,5'"),
         # a value that parses keeps its own domain error
         (["point-form", "1,0,-3"], "argument point: denominator q must be positive"),
     ):
@@ -436,6 +443,33 @@ def test_plot_order_is_the_fraction_order(points, region):
     except ValueError as exc:
         got = str(exc)
     assert got == fraction_order_svg(points, region)
+
+
+def test_large_plots_are_the_fraction_order():
+    # plot_points draws at most 40 points; plots of 10^3 set the tail, so check that size
+    rng = random.Random(0x5F6)
+    forms = [random_positive_definite(rng, 1000) for _ in range(1000)]
+    q = 2**60 + 12345  # p/q, (p + 1)/q, (p + 2)/q round to one float near 1/3
+    ties = [AlgebraicPoint(q // 3 + rng.randrange(3), q, -rng.randint(1, 10**30))
+            for _ in range(500)]
+    ties += [AlgebraicPoint(rng.randint(-3, 3), rng.randint(1, 4), -rng.randint(1, 50))
+             for _ in range(500)]  # equal Re, as floats and exactly
+    # an Im past the float range before a +inf Re in marker order, and -inf Re before both
+    far = [AlgebraicPoint(10**400, 1, -1), AlgebraicPoint(1, 1, -(10**400))]
+    left = AlgebraicPoint(-(10**400), 1, -1)
+    errors = []
+    for points in ([base_point(f) for f in forms], ties, ties + far[:1], ties + far,
+                   ties + far + [left]):
+        rng.shuffle(points)
+        for region in ("pi", "pibar"):
+            try:
+                got = render_region_svg(points, region)
+            except ValueError as exc:
+                got = str(exc)
+                errors.append(got)
+            assert got == fraction_order_svg(points, region)
+    assert errors == [f"point {z} does not fit in a float" for z in [far[0]] * 2 + [far[1]] * 2
+                      + [left] * 2]
 
 
 def test_render_rejects_unknown_region():

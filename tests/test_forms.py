@@ -16,6 +16,7 @@ def test_parse_round_trip():
     assert f == QuadraticForm(11, 49, 55)
     assert str(f) == "11,49,55"
     assert QuadraticForm.parse(" 2 , -1 , 3 ") == QuadraticForm(2, -1, 3)
+    assert QuadraticForm.parse("+11,049,55") == QuadraticForm(11, 49, 55)  # as int() reads them
 
 
 @pytest.mark.parametrize("text", ["", "1,2", "1,2,3,4", "1,x,3", "1;2;3"])

@@ -180,9 +180,17 @@ def test_legendre_examples():
 
 
 def test_legendre_rejects_non_odd_prime():
-    for p in (2, 1, 0, -7, 9, 15, 561):
-        with pytest.raises(ValueError):
+    for p in (2, 1, 0, -3, -7, 9, 15, 561, 65535, 65537 * 65539):
+        with pytest.raises(ValueError, match=f"^{p} is not an odd prime$"):
             legendre(1, p)
+
+
+def test_small_prime_legendre_is_the_jacobi_symbol():
+    # below 2^16 legendre answers by one pow; the Jacobi loop is the reference
+    rng = random.Random(0xB3)
+    for p in sieve_odd_primes(1 << 16):
+        for v in (0, 1, -1, p - 1, 3 * p, -rng.randrange(1, 10**7), rng.randrange(10**12)):
+            assert legendre(v, p) == residues._jacobi(v, p), (v, p)
 
 
 def test_quadratic_residue_tables():

@@ -152,6 +152,10 @@ def test_sorted_within_a_kind_is_by_fields(values):
         (QuadFieldElement, "1,2,5", "expected 'a/c/n', got '1,2,5'"),
         (QuadraticForm, "1,1,x", "expected 'a,b,c', got '1,1,x'"),
         (GroupElement, "1,0;0,x", "expected 'r,s;t,u', got '1,0;0,x'"),
+        # int() reads "_" between digits and non-ASCII digits; str() writes neither
+        (QuadraticForm, "1_1,4_9,55", "expected 'a,b,c', got '1_1,4_9,55'"),
+        (QuadraticForm, "\u0661,1,5", "expected 'a,b,c', got '\u0661,1,5'"),
+        (QuadFieldElement, "1/2/\uff15", "expected 'a/c/n', got '1/2/\uff15'"),
         (AlgebraicPoint, "1,0,-3", "denominator q must be positive"),
     ],
 )
