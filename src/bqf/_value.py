@@ -49,16 +49,17 @@ class Value(tuple):
     def parse(cls, text: str):
         """The value whose str() is text, spaces around each int allowed.
 
-        A sign + and leading zeros are accepted too; the "_" and non-ASCII digits
-        that int() also reads are not, since str() never writes them. Where _text
-        has two kinds of separator, rebuilding text checks their places.
+        A sign + and leading zeros are accepted too; int()'s "_", non-ASCII digits
+        and whitespace other than the space are not, since str() never writes them.
+        Where _text has two kinds of separator, rebuilding text checks their places.
         """
         if (fmt := cls._text) is None:
             raise TypeError(f"{cls.__name__} has no text form to parse")
         sep, mid = fmt[2], fmt[5]  # the first two separators
         parts = text.replace(mid, sep).split(sep)
+        plain = text.isascii() and text.isprintable() and "_" not in text  # as str() writes
         try:
-            ints = [int(part) for part in parts] if text.isascii() and "_" not in text else []
+            ints = [int(part) for part in parts] if plain else []
         except ValueError:  # the format's error, not int()'s; cls keeps its own
             ints = []
         if len(ints) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):

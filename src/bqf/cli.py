@@ -31,35 +31,23 @@ _ARC_SEGMENTS = 64
 _POINT_LIMIT = 10_000
 
 
-def _sx(x: float) -> float:
-    return (x - _XMIN) * _SCALE
+def _screen(plane: list[tuple[float, float]]) -> list[float]:
+    """Screen coordinates of plane pairs (x, y), flattened: x0, y0, x1, y1, ..."""
+    return [c for x, y in plane for c in ((x - _XMIN) * _SCALE, (_YMAX - y) * _SCALE)]
 
 
-def _sy(y: float) -> float:
-    return (_YMAX - y) * _SCALE
-
-
-def _f(v: float) -> str:
-    return f"{v:.6f}"
+def _exact(z: AlgebraicPoint) -> tuple:
+    """The exact plot key of a point: (Re, |z|^2) as Fractions."""
+    return z.re(), z.abs_sq()
 
 
 def _plot_order(points: list[AlgebraicPoint]) -> list[tuple[float, AlgebraicPoint]]:
-    """(float Re, point) pairs in exact (Re, |z|^2) order.
+    """(float Re, point) pairs in _exact order; OverflowError for an Re past the float range.
 
     Correctly rounded floats of Re are monotone, so distinct ones already
-    agree with that order; only runs of equal floats are sorted by Fractions.
-    An Re past the float range keys as ±inf, tying with the others there.
+    agree with that order; only runs of equal floats are sorted by _exact.
     """
-    try:
-        xs = [p / q for p, q, _ in points]
-    except OverflowError:  # rare: an Re past the float range, keyed point by point
-        xs = []
-        for p, q, _ in points:
-            try:
-                xs.append(p / q)
-            except OverflowError:
-                xs.append(math.inf if p > 0 else -math.inf)
-    keyed = sorted(zip(xs, points), key=itemgetter(0))
+    keyed = sorted(zip([p / q for p, q, _ in points], points), key=itemgetter(0))
     xs = list(map(itemgetter(0), keyed))
     end = 0
     for i in itertools.compress(range(1, len(xs)), map(eq, xs, xs[1:])):
@@ -67,9 +55,7 @@ def _plot_order(points: list[AlgebraicPoint]) -> list[tuple[float, AlgebraicPoin
             end = i + 1
             while end < len(xs) and xs[end] == xs[i]:
                 end += 1
-            run = keyed[i - 1 : end]
-            run.sort(key=lambda pair: (pair[1].re(), pair[1].abs_sq()))
-            keyed[i - 1 : end] = run
+            keyed[i - 1 : end] = sorted(keyed[i - 1 : end], key=lambda pair: _exact(pair[1]))
     return keyed
 
 
@@ -81,17 +67,15 @@ def _frame(region: str) -> str:
     y_left = math.sqrt(3) / 2 if region == "pi" else 1.0
     a_left = 2 * math.pi / 3 if region == "pi" else math.pi / 2
     ts = [a_left + (math.pi / 3 - a_left) * i / _ARC_SEGMENTS for i in range(_ARC_SEGMENTS + 1)]
-    steps = [f"{_f(_sx(math.cos(t)))} {_f(_sy(math.sin(t)))}" for t in ts]
+    walls = [(left, y_left), (left, _YMAX), (0.5, math.sqrt(3) / 2), (0.5, _YMAX)]
+    drawing = "\n".join(['<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>'] * 2
+                        + ['<path d="M ' + " L ".join(["%.6f %.6f"] * len(ts)) + '"/>'])
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         '<g stroke="#222222" stroke-width="1.5" fill="none">',
-        f'<line x1="{_f(_sx(left))}" y1="{_f(_sy(y_left))}" '
-        f'x2="{_f(_sx(left))}" y2="{_f(_sy(_YMAX))}"/>',
-        f'<line x1="{_f(_sx(0.5))}" y1="{_f(_sy(math.sqrt(3) / 2))}" '
-        f'x2="{_f(_sx(0.5))}" y2="{_f(_sy(_YMAX))}"/>',
-        '<path d="M ' + " L ".join(steps) + '"/>',
+        drawing % tuple(_screen(walls + [(math.cos(t), math.sin(t)) for t in ts])),
         "</g>",
         '<g fill="#335577">\n',
     ])
@@ -100,26 +84,25 @@ def _frame(region: str) -> str:
 def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     """Deterministic SVG: region boundary plus one marker per point.
 
-    Markers come in exact (Re, |z|^2) order: correctly rounded floats decide
-    it where they differ, Fractions where they tie. Floats appear only here,
-    rounded to six decimals at render time.
+    Markers come in _exact order, coordinates to six decimals; the least point in
+    that order whose Re or Im does not fit in a float is refused with ValueError.
     """
     if region not in ("pi", "pibar"):
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
     if len(points) > _POINT_LIMIT:
         raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
-    keyed = _plot_order(points)
     try:
-        if keyed and (math.isinf(keyed[0][0]) or math.isinf(keyed[-1][0])):
-            raise OverflowError  # an Re past the float range; ±inf keys sort to the ends
-        coords = [c for x, (_, q, d) in keyed  # _sx(x), _sy(Im) of each marker, inlined
+        keyed = _plot_order(points)
+        coords = [c for x, (_, q, d) in keyed  # _screen of each (x, Im), inlined
                   for c in ((x - _XMIN) * _SCALE, (_YMAX - math.sqrt(-d) / q) * _SCALE)]
-    except OverflowError:  # rescan in marker order; int(±inf) raises OverflowError too
-        for x, z in keyed:
+    except OverflowError:  # of Re, Im or q; the least unfit point is the first such marker
+        unfit = []
+        for z in points:
             try:
-                int(x), math.sqrt(-z.D) / z.q
+                z.p / z.q, math.sqrt(-z.D) / z.q
             except OverflowError:
-                raise ValueError(f"point {z} does not fit in a float") from None
+                unfit.append(z)
+        raise ValueError(f"point {min(unfit, key=_exact)} does not fit in a float") from None
     markers = ('<circle cx="%.6f" cy="%.6f" r="4"/>\n' * len(keyed)) % tuple(coords)
     return _frame(region) + markers + "</g>\n</svg>\n"
 

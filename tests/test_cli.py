@@ -1,5 +1,6 @@
 """Command line behaviour, frozen against known-good output."""
 
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -394,10 +396,10 @@ def fraction_order_svg(points, region):
     circles = []
     for z in sorted(points, key=lambda w: (w.re(), w.abs_sq())):
         try:
-            cx, cy = cli._sx(z.p / z.q), cli._sy(math.sqrt(-z.D) / z.q)
+            cx, cy = cli._screen([(z.p / z.q, math.sqrt(-z.D) / z.q)])
         except OverflowError:
             return f"point {z} does not fit in a float"
-        circles.append(f'<circle cx="{cli._f(cx)}" cy="{cli._f(cy)}" r="4"/>\n')
+        circles.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="4"/>\n')
     return head + "".join(circles) + "</g>\n</svg>\n"
 
 
@@ -470,6 +472,19 @@ def test_large_plots_are_the_fraction_order():
             assert got == fraction_order_svg(points, region)
     assert errors == [f"point {z} does not fit in a float" for z in [far[0]] * 2 + [far[1]] * 2
                       + [left] * 2]
+
+
+FRAME_SHA256 = {
+    "pi": "8b3b982f6649e787a4b0898f1b2364285f7b2f6b0a59ba86d132e31ca72582e8",
+    "pibar": "b587c48321468a2cee01309a24c7ebfc0860e1c1a9238ef9fd87630ea594e166",
+}
+
+
+@pytest.mark.parametrize("region", sorted(FRAME_SHA256))
+def test_region_frame_is_pinned(region):
+    # the header, both walls and the 65-point arc, byte for byte
+    frame = render_region_svg([], region).encode()
+    assert (len(frame), hashlib.sha256(frame).hexdigest()) == (1934, FRAME_SHA256[region])
 
 
 def test_render_rejects_unknown_region():

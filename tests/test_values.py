@@ -156,6 +156,11 @@ def test_sorted_within_a_kind_is_by_fields(values):
         (QuadraticForm, "1_1,4_9,55", "expected 'a,b,c', got '1_1,4_9,55'"),
         (QuadraticForm, "\u0661,1,5", "expected 'a,b,c', got '\u0661,1,5'"),
         (QuadFieldElement, "1/2/\uff15", "expected 'a/c/n', got '1/2/\uff15'"),
+        # int() strips whitespace other than the space too; str() writes none
+        (QuadraticForm, "1,\t1,5", "expected 'a,b,c', got '1,\\t1,5'"),
+        (QuadraticForm, "1,\x0c1,\x0b5", "expected 'a,b,c', got '1,\\x0c1,\\x0b5'"),
+        (QuadraticForm, "1,1,5\n", "expected 'a,b,c', got '1,1,5\\n'"),
+        (QuadraticForm, "1,\r1,5", "expected 'a,b,c', got '1,\\r1,5'"),
         (AlgebraicPoint, "1,0,-3", "denominator q must be positive"),
     ],
 )
