@@ -84,8 +84,8 @@ def _frame(region: str) -> str:
 def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
     """Deterministic SVG: region boundary plus one marker per point.
 
-    Markers come in _exact order, coordinates to six decimals; the least point in
-    that order whose Re or Im does not fit in a float is refused with ValueError.
+    Markers come in _exact order, coordinates to six decimals; the least point in that
+    order whose Re, Im or screen x does not fit in a float is refused with ValueError.
     """
     if region not in ("pi", "pibar"):
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
@@ -95,11 +95,13 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
         keyed = _plot_order(points)
         coords = [c for x, (_, q, d) in keyed  # _screen of each (x, Im), inlined
                   for c in ((x - _XMIN) * _SCALE, (_YMAX - math.sqrt(-d) / q) * _SCALE)]
-    except OverflowError:  # of Re, Im or q; the least unfit point is the first such marker
+        if coords:  # screen x rises with Re, and Im < 2^512 keeps screen y finite
+            int(coords[0]), int(coords[-2])  # OverflowError for an infinite end
+    except OverflowError:  # Re, Im, q or screen x; the least unfit point is the first such marker
         unfit = []
         for z in points:
             try:
-                z.p / z.q, math.sqrt(-z.D) / z.q
+                int(_screen([(z.p / z.q, math.sqrt(-z.D) / z.q)])[0])  # int(+-inf) raises
             except OverflowError:
                 unfit.append(z)
         raise ValueError(f"point {min(unfit, key=_exact)} does not fit in a float") from None

@@ -38,26 +38,27 @@ def _jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas test of an odd n > 1: P = 1, Q = (1 - D)/4 for the first D in
-    5, -7, 9, -11, ... with (D/n) = -1 (Selfridge); a square has none, and fails."""
+def _extra_strong_lucas(n: int) -> bool:
+    """Extra strong Lucas test of an odd n > 1 (Grantham 2001): Q = 1 and the first P in
+    3, 4, 5, ... with (P^2 - 4 / n) = -1 (Baillie); a square has none, and fails."""
     if math.isqrt(n) ** 2 == n:
         return False
-    D = 5
-    while _jacobi(D, n) != -1:
-        D = 2 - D if D < 0 else -2 - D
+    P = 3
+    while (j := _jacobi(P * P - 4, n)) != -1:
+        if j == 0 and P * P - 4 < n:  # gcd(P^2 - 4, n) is a proper factor of n
+            return False
+        P += 1
     s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s with d odd
-    Q, h, u, v, qk = (1 - D) // 4, (n + 1) // 2, 0, 2, 1  # U_k, V_k, Q^k at k = 0
+    v, w = 2, P  # V_k, V_(k+1) at k = 0
     for bit in bin((n + 1) >> s)[2:]:  # k -> 2k, then 2k + 1 on a 1 bit
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":  # h = 1/2 mod n
-            u, v, qk = (u + v) * h % n, (D * u + v) * h % n, qk * Q % n
-    if u == 0:
+        vw = (v * w - P) % n  # V_(2k+1), which both branches keep
+        v, w = (vw, (w * w - 2) % n) if bit == "1" else ((v * v - 2) % n, vw)
+    if v in (2, n - 2) and 2 * w % n == P * v % n:  # V_d = +-2 and U_d = 0
         return True
-    for _ in range(s):  # V_k at k = d, 2d, ..., 2^(s-1) d
+    for _ in range(s - 1):  # V_k at k = d, 2d, ..., 2^(s-2) d
         if v == 0:
             return True
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        v = (v * v - 2) % n
     return False
 
 
@@ -67,8 +68,8 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin on the first k bases 2, 3, 5, ..., 37 below psi_k, the least strong
     pseudoprime to them: a proof below psi_12 ~ 2^78.1 (Jaeschke, Math. Comp. 1993;
     Sorenson and Webster, Math. Comp. 2017). Above it Baillie-PSW (Baillie and Wagstaff,
-    Math. Comp. 1980; FIPS 186-4 C.3.3), a strong test to base 2 and a strong Lucas
-    test: True there means BPSW-prime, with no known composite that passes."""
+    Math. Comp. 1980), a strong test to base 2 and an extra strong Lucas test (Grantham,
+    Math. Comp. 2001): True there means BPSW-prime, with no known composite that passes."""
     if n < 2:
         return False
     for p in _MR_BASES_SMALL:
@@ -79,7 +80,7 @@ def is_prime(n: int) -> bool:
     for k, psi in enumerate(_MR_PSI, 1):
         if n < psi:
             return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL[:k])
-    return _miller_rabin(n, 2) and _strong_lucas(n)
+    return _miller_rabin(n, 2) and _extra_strong_lucas(n)
 
 
 def _require_odd_prime(p: int) -> None:

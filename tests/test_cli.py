@@ -159,6 +159,10 @@ def test_domain_errors_exit_one():
             ["plot", "--points", "1,1,-1" + "0" * 400],
             "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
         ),
+        (  # Re = 10^307 fits in a float, but its screen x does not
+            ["plot", "--points", "1" + "0" * 307 + ",1,-1"],
+            "error: point 1" + "0" * 307 + ",1,-1 does not fit in a float\n",
+        ),
         (  # Re = 10^400 overflows first, but Re = 1 comes first in exact order
             ["plot", "--points", "1" + "0" * 400 + ",1,-1", "1,1,-1" + "0" * 400],
             "error: point 1,1,-1" + "0" * 400 + " does not fit in a float\n",
@@ -398,6 +402,8 @@ def fraction_order_svg(points, region):
         try:
             cx, cy = cli._screen([(z.p / z.q, math.sqrt(-z.D) / z.q)])
         except OverflowError:
+            cx = math.inf
+        if math.isinf(cx):  # Re, Im or the screen x past the float range
             return f"point {z} does not fit in a float"
         circles.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="4"/>\n')
     return head + "".join(circles) + "</g>\n</svg>\n"
@@ -425,6 +431,12 @@ def plot_points(draw):
         ),
         # Im past the float range
         st.builds(lambda p: AlgebraicPoint(p, 1, -(10**400)), st.integers(-2, 2)),
+        # Re within the float range, screen x past it
+        st.builds(
+            lambda s, k: AlgebraicPoint(s * 10**307 + k, 1, -1),
+            st.sampled_from((-1, 1)),
+            st.integers(-2, 2),
+        ),
     )
     points = draw(st.lists(kinds, max_size=25))
     if points:

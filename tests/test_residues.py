@@ -1,9 +1,12 @@
 """Primality, Legendre symbols, residue tables, and the scaling criterion."""
 
+import inspect
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf import (
     is_prime,
@@ -45,7 +48,7 @@ def test_is_prime_carmichael_and_large():
 def test_fixed_bases_are_a_proof_below_psi_12(monkeypatch):
     psi_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
     assert psi_12 == 399165290221 * 798330580441
-    assert not is_prime(psi_12)  # the strong Lucas step above the bound catches it
+    assert not is_prime(psi_12)  # the extra strong Lucas step above the bound catches it
     calls = []
     real = residues._miller_rabin
     monkeypatch.setattr(residues, "_miller_rabin", lambda n, b: calls.append(b) or real(n, b))
@@ -99,6 +102,21 @@ def test_first_k_bases_agree_with_all_twelve():
         assert residues.is_prime.__wrapped__(n) == twelve_bases(n), n
 
 
+def test_baillie_psw_agrees_with_all_twelve_bases():
+    # below psi_12 the twelve bases are a proof, so they check both halves of
+    # Baillie-PSW on random odd n and on random primes from 2^64 up
+    rng = random.Random(0x5F)
+    odd = [rng.randrange(3, PSI[-1]) | 1 for _ in range(2000)]
+    primes = []
+    while len(primes) < 200:
+        n = rng.randrange(2**64, PSI[-1]) | 1
+        if twelve_bases(n):
+            primes.append(n)
+    for n in odd + primes:
+        bpsw = residues._miller_rabin(n, 2) and residues._extra_strong_lucas(n)
+        assert bpsw == twelve_bases(n), n
+
+
 def test_lucas_step_rejects_psi_13():
     psi_13 = 3317044064679887385961981  # strong pseudoprime to the bases 2..41
     assert all(residues._miller_rabin(psi_13, b) for b in residues._MR_BASES_SMALL)
@@ -113,18 +131,18 @@ def odd_composites(limit):
 def test_strong_lucas_rejects_base_2_strong_pseudoprimes():
     spsp2 = [n for n in odd_composites(10**5) if residues._miller_rabin(n, 2)]
     assert len(spsp2) == 16 and spsp2[:3] == [2047, 3277, 4033]
-    assert not any(residues._strong_lucas(n) for n in spsp2)
+    assert not any(residues._extra_strong_lucas(n) for n in spsp2)
 
 
 def test_strong_lucas_pseudoprimes_below_1e5():
-    # OEIS A217255, strong Lucas pseudoprimes with Selfridge's method A
-    a217255 = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
-               75077, 97439]
+    # OEIS A217719, extra strong Lucas pseudoprimes with Baillie's parameter P
+    a217719 = [989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919,
+               75077]
     found = [
         n for n in odd_composites(10**5)
-        if math.isqrt(n) ** 2 != n and residues._strong_lucas(n)
+        if math.isqrt(n) ** 2 != n and residues._extra_strong_lucas(n)
     ]
-    assert found == a217255
+    assert found == a217719
     assert not any(residues._miller_rabin(n, 2) for n in found)
 
 
@@ -141,13 +159,13 @@ def test_jacobi_is_the_product_of_legendre_symbols():
 
 
 def test_strong_lucas_rejects_odd_squares():
-    # no D has (D/n) = -1 for a square n; 1093^2 also passes the base-2 strong test
+    # no P has (P^2 - 4 / n) = -1 for a square n; 1093^2 also passes the base-2 strong test
     assert residues._miller_rabin(1093**2, 2)
-    assert not any(residues._strong_lucas(m * m) for m in [*range(3, 400, 2), 1093, 3511])
+    assert not any(residues._extra_strong_lucas(m * m) for m in [*range(3, 400, 2), 1093, 3511])
 
 
 def test_strong_lucas_accepts_odd_primes():
-    assert all(residues._strong_lucas(p) for p in sieve_odd_primes(10**5))
+    assert all(residues._extra_strong_lucas(p) for p in sieve_odd_primes(10**5))
 
 
 def test_is_prime_matches_trial_division_below_2e5():
@@ -365,3 +383,23 @@ def test_sqrt_mod_prime_ends_when_p_is_no_odd_prime():
 
     raised = within_a_second(sweep)
     assert {2, 9, 21, 25, 45} <= raised
+
+
+# arguments by parameter name: ints up to 400 digits, with p also near the
+# residue-set bound 10^6 and bound near the search cap 10^4
+BIG = st.integers(-(10**400), 10**400) | st.integers(-50, 2000)
+ARGUMENTS = {"n": BIG, "value": BIG, "a": BIG,
+             "p": BIG | st.integers(10**6 - 60, 10**6 + 60),
+             "bound": BIG | st.integers(10**4 - 5, 10**4 + 5)}
+
+
+@settings(deadline=None, max_examples=600)
+@given(st.sampled_from(residues.__all__), st.data())
+def test_residue_api_returns_or_raises_value_error(name, data):
+    # every public residue function, on any ints: a value or ValueError, within a second
+    fn = getattr(residues, name)
+    args = [data.draw(ARGUMENTS[param], label=param) for param in inspect.signature(fn).parameters]
+    try:
+        within_a_second(lambda: fn(*args))
+    except ValueError:
+        pass
