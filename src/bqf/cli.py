@@ -184,12 +184,24 @@ def _cmd_check_t32(args) -> tuple[dict, str]:
 
 
 def _cmd_plot(args) -> tuple[None, str]:
-    if len(args.items) > _POINT_LIMIT:  # before any item is parsed
+    """The items parsed as one text, or on any error item by item, naming the first bad one."""
+    items = args.items
+    if len(items) > _POINT_LIMIT:  # before any item is parsed
         raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
-    if args.points:
-        markers = [AlgebraicPoint.parse(item) for item in args.items]
-    else:
-        markers = [base_point(QuadraticForm.parse(item)) for item in args.items]
+    text = ",".join(items)  # Value.parse's checks, once; two commas per item align the threes
+    plain = text.isascii() and text.isprintable() and "_" not in text
+    try:
+        if not plain or {item.count(",") for item in items} != {2}:
+            raise ValueError
+        ints = map(int, text.split(","))
+        triples = zip(ints, ints, ints)
+        markers = ([AlgebraicPoint(*t) for t in triples] if args.points
+                   else [base_point(QuadraticForm(*t)) for t in triples])
+    except ValueError:
+        if args.points:
+            markers = [AlgebraicPoint.parse(item) for item in items]
+        else:
+            markers = [base_point(QuadraticForm.parse(item)) for item in items]
     return None, render_region_svg(markers, args.region)
 
 
@@ -296,4 +308,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython before 3.10.7 has no digit limit;
+        sys.set_int_max_str_digits(0)  # Linux's 128 KiB per argv string bounds every int
     sys.exit(main())

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from bqf import base_point, cli
 from bqf.cli import main, render_region_svg
+from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
 
 from helpers import random_positive_definite
@@ -154,6 +155,10 @@ def test_domain_errors_exit_one():
         ),
         (["plot", "1,3,1"], "error: base point defined only for positive definite forms\n"),
         (["plot", "1,0,1", "1_1,4_9,55"], "error: expected 'a,b,c', got '1_1,4_9,55'\n"),
+        # joined, these items read 1,0,1,1,2,3,4,5,6: three definite forms; the first bad
+        # item is named, not the last
+        (["plot", "1,0,1", "1,2", "3,4,5,6"], "error: expected 'a,b,c', got '1,2'\n"),
+        (["plot", "1,3,1", "x,1,1"], "error: base point defined only for positive definite forms\n"),
         (["plot", "--points", "0,1,-\u0661"], "error: expected 'p,q,D', got '0,1,-\u0661'\n"),
         (
             ["plot", "--points", "1,1,-1" + "0" * 400],
@@ -409,6 +414,48 @@ def fraction_order_svg(points, region):
     return head + "".join(circles) + "</g>\n</svg>\n"
 
 
+def per_item_plot(items, points, region):
+    """(exit code, stdout, stderr) of bqf plot with each item parsed on its own."""
+    try:
+        if points:
+            markers = [AlgebraicPoint.parse(item) for item in items]
+        else:
+            markers = [base_point(QuadraticForm.parse(item)) for item in items]
+        return 0, render_region_svg(markers, region), ""
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+
+
+# runs of items that a plot refuses, or that only a per-item parse reads right; each pair
+# joins to two valid triples, and "1,0,10000…" is past CPython's default 4300 digits
+PLOT_ODD_ITEMS = [
+    ["1,2", "3,4,5,6"], ["1,2", "-3,4,5,-6"], ["1,2,3,4", "5,6"], [""], ["1,,3"], ["1,2,"],
+    ["1_1,4_9,55"], ["1,\t1,5"], ["0,1,-\u0661"], ["1,0,1\n"], ["1,3,1"], ["1,0,-1"],
+    ["1,-2,-3"], ["1,1,0"], ["1,2,3"], [" +1, 0 ,01"], ["1,0,1" + "0" * 4999],
+]
+
+
+@st.composite
+def plot_items(draw):
+    points = draw(st.booleans())
+    valid = (st.builds("{},{},-{}".format, nums, positive, positive) if points
+             else st.builds(_definite, positive, positive, positive))
+    items = draw(st.lists(valid, max_size=6))
+    for odd in draw(st.lists(st.sampled_from(PLOT_ODD_ITEMS), max_size=2)):
+        at = draw(st.integers(0, len(items)))
+        items[at:at] = odd
+    return points, items
+
+
+@settings(deadline=None, max_examples=150)
+@given(plot_items(), st.sampled_from(("pi", "pibar")))
+def test_plot_parses_as_each_item_alone(drawn, region):
+    # exit code, stdout and stderr of the one-pass parse are those of the per-item parse
+    points, items = drawn
+    argv = ["plot", *["--points"] * points, "--region", region, "--", *items]
+    assert run(argv) == per_item_plot(items, points, region)
+
+
 @st.composite
 def plot_points(draw):
     q = 2**60 + draw(st.integers(0, 2**20))
@@ -538,3 +585,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "reduced: 1,1,5\nword: VTVTVTUTU\nwitness: -3,-7;1,2\nsteps: 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (  # 5001 digits, past CPython's default int/str limit of 4300
+            ["reduce", "1,1,1" + "0" * 5000],
+            "reduced: 1,1,1" + "0" * 5000 + "\nword: \nwitness: 1,0;0,1\nsteps: 0\n",
+        ),
+        (  # p = 10^3000 + 7: the form 1,2p,p^2 + 1 and its scale have 6001-digit ints
+            ["point-form", "1" + "0" * 2999 + "7,1,-1"],
+            "form: 1,2" + "0" * 2998 + "14,1" + "0" * 2998 + "14" + "0" * 2998 + "50\n"
+            "scale: 1/1" + "0" * 2998 + "14" + "0" * 2998 + "50\n",
+        ),
+    ],
+    ids=["reduce", "point-form"],
+)
+def test_bqf_process_has_no_digit_limit(argv, stdout):
+    # a bqf process lifts CPython's digit limit; argv's own length cap bounds every int
+    proc = subprocess.run([sys.executable, "-m", "bqf", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
