@@ -31,20 +31,28 @@ def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
     a, b, c = form
     r, s, t, u = 1, 0, 0, 1
     steps = 0
-    while True:  # one pass: a translation when b is outside (-a, a], then a swap or stop
+    while True:  # two passes a round; the swap between them renames, moving no value
         m = (a - b) // (2 * a)  # zero exactly when -a < b <= a
-        if m:  # translate by (TU)^-m: b -> b + 2am
+        if m:  # translate by (TU)^-m: b -> b + 2am, c by m times the mean of old and new b
             am = a * m
-            c += m * (b + am)
-            b += 2 * am
+            b += am
+            c += m * b
+            b += am
             r, s = r - m * t, s - m * u  # (1 -m / 0 1) times the witness
             steps += 1
-        if a < c or (a == c and b >= 0):
-            break
-        a, b, c = c, -b, a
-        r, s, t, u = -t, -u, r, s  # T times the witness
-        steps += 1
-    return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
+        if a < c or a == c and b >= 0:
+            return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
+        m = (c + b) // (2 * c)  # the same on the swapped form (c, -b, a), witness (-t, -u, r, s)
+        if m:
+            cm = c * m
+            b -= cm
+            a -= m * b
+            b -= cm
+            t, u = t + m * r, u + m * s
+            steps += 1
+        if c < a or c == a and b <= 0:
+            return QuadraticForm(c, -b, a), GroupElement(-t, -u, r, s), steps + 1
+        steps += 2  # two swaps negate the witness, which is stored modulo sign
 
 
 def reduce_form(form: QuadraticForm) -> ReductionResult:

@@ -8,6 +8,8 @@ import math
 __all__ = ["is_prime", "legendre", "quadratic_residues", "residue_complement_law",
            "scaled_form_criterion", "scaled_representation_oracle"]
 
+MAX_PRIME_BITS = 2**12  # longest p the odd-prime checks test; is_prime has no bound
+
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_k, the least strong pseudoprime to the first k bases (OEIS A014233), k = 1..12
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -84,6 +86,8 @@ def is_prime(n: int) -> bool:
 
 
 def _require_odd_prime(p: int) -> None:
+    if p.bit_length() > MAX_PRIME_BITS:
+        raise ValueError(f"p of {p.bit_length()} bits exceeds the prime bound of 4096 bits")
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 

@@ -162,6 +162,35 @@ def test_reduce_matches_two_branch_loop(f, content):
     assert (reduced, witness, steps) == two_branch_reduce(f)
 
 
+def test_reduce_returns_from_both_half_passes():
+    # _reduce's round is two half-passes, the second on the swapped form read in
+    # place; an odd swap count returns from the second, an even one from the
+    # first. Moves: t a translation, s a swap, = the stop.
+    cases = [
+        QuadraticForm(1, 0, 1),  # = (0 swaps)
+        QuadraticForm(1, -2, 2),  # t = (0)
+        QuadraticForm(2, 3, 2),  # t s = (1)
+        QuadraticForm(9, -10, 3),  # t s t s = (2)
+        QuadraticForm(54, -44, 9),  # s t s t s = (3)
+        QuadraticForm(3, -2, 3),  # a == c, b < 0: s = (1)
+        QuadraticForm(3, 2, 3),  # a == c, b > 0: = (0)
+        QuadraticForm(5, 5, 2),  # s t, then a == c with b < 0: s = (2)
+        QuadraticForm(3, -3, 1),  # t s t, then a == c with b > 0: = (1)
+        QuadraticForm(2, 2, 1),  # s t, then a == c with b == 0: = (1)
+        QuadraticForm(2, 1, 1),  # s, then b == -a: t = (1)
+        QuadraticForm(7, 7, 2),  # s t s, then b == -a: t = (2)
+    ]
+    rng = random.Random(4096)  # partial quotients <= 3 up to 4096 bits
+    r, s, t, u = 1, 0, 0, 1
+    while max(r, s, t, u).bit_length() < 4096:
+        q = rng.randint(1, 3)
+        r, s, t, u = r * q + s, r, t * q + u, t
+    cases.append(act_on_form(GroupElement(r, s, t, u), QuadraticForm(2, 1, 3)))
+    for f in cases:
+        assert reduction._reduce(f) == two_branch_reduce(f), f
+    assert reduction._reduce(cases[-1])[2] > 4096
+
+
 @settings(deadline=None)
 @given(moved_forms())
 def test_word_is_the_witness_normal_form(f):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,28 @@ def test_legendre_rejects_non_odd_prime():
     for p in (2, 1, 0, -3, -7, 9, 15, 561, 65535, 65537 * 65539):
         with pytest.raises(ValueError, match=f"^{p} is not an odd prime$"):
             legendre(1, p)
+
+
+def test_prime_bound_refuses_before_any_test():
+    # a 4097-bit p is refused by its bit length, not by a primality test, and
+    # quadratic_residues by its own smaller bound; a 4096-bit p reaches the test
+    p = 2**4096 + 1
+    bound = "^p of 4097 bits exceeds the prime bound of 4096 bits$"
+    calls = [
+        (lambda: legendre(3, p), bound),
+        (lambda: scaled_form_criterion(3, p), bound),
+        (lambda: residue_complement_law(p, 1), bound),
+        (lambda: scaled_representation_oracle(3, p, 10), bound),
+        (lambda: quadratic_residues(p), r"^p = \d+ exceeds the residue-set bound 10\^6$"),
+    ]
+    for call, message in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert time.perf_counter() - start < 0.01
+    assert residues.MAX_PRIME_BITS == 4096
+    with pytest.raises(ValueError, match="is not an odd prime$"):
+        legendre(3, 2**4096 - 1)  # divisible by 3
 
 
 def test_small_prime_legendre_is_the_jacobi_symbol():
