@@ -3,7 +3,7 @@
 A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and b^2 = delta
 (mod 4a): O(sqrt|delta|) values of a with a few b each, not the ~|delta|/6 cells
 of the (a, b) box. An odd a = n q, q the power of its least prime (from the one
-prime table residues.smallest_prime_factors()), gets its sorted roots s mod a by
+prime table residues.smallest_prime_factors()), gets its roots s mod a by
 the CRT from those mod n and mod q, both found before a (Tonelli-Shanks, lifted);
 b is s or s - a, whichever has delta's parity. An even a = 2^j m joins the roots
 mod m by the CRT with the 2-adic roots, found once per j. Counts build no form.
@@ -66,10 +66,10 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
                     q *= p
                 n = a // q
                 if n == 1:
-                    roots[a] = sorted(_prime_power_roots(delta, p, q, roots))
+                    roots[a] = _prime_power_roots(delta, p, q, roots)
                 elif roots[n] and roots[q]:  # the CRT: x = r (mod n), x = s (mod q)
                     inv, qs = pow(n, -1, q), roots[q]
-                    roots[a] = sorted([r + n * ((s - r) * inv % q) for r in roots[n] for s in qs])
+                    roots[a] = [r + n * ((s - r) * inv % q) for r in roots[n] for s in qs]
                 else:
                     roots[a] = []
             if not (rs := roots[a]):

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # fractions (and decimal) load on first use, by a plain `impo
 
 from ._value import Value
 from .forms import QuadraticForm
-from .residues import is_prime, smallest_prime_factors
+from .residues import MAX_PRIME_BITS, is_prime, smallest_prime_factors
 
 __all__ = ["AlgebraicPoint", "base_point", "form_from_point", "in_fundamental_domain_pi",
            "in_fundamental_domain_pibar"]
@@ -38,8 +38,8 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     h = math.gcd(d, q * q)  # Im^2 = -(d/h) / (q^2/h) in lowest terms
     m = q * q // h
     rest = m // math.gcd(m, den_re * den_re)  # M'
-    k = 1
-    if rest > 1 and not is_prime(rest):  # rest = 1 for most points with gcd(p, q) > 1
+    k = 1  # a prime test only ends the loop early, so a rest past MAX_PRIME_BITS skips it
+    if rest > 1 and not (rest.bit_length() <= MAX_PRIME_BITS and is_prime(rest)):  # often rest = 1
         for f in itertools.compress(range(2, 1 << 16), _prime_flags()):
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break
@@ -47,7 +47,7 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
                 while rest % f == 0:  # one f in k per f^2, or last lone f, stripped
                     rest //= f * f if rest % (f * f) == 0 else f
                     k *= f
-                if is_prime(rest):
+                if rest.bit_length() <= MAX_PRIME_BITS and is_prime(rest):
                     break
     r = math.isqrt(rest)
     k *= r if r * r == rest else rest

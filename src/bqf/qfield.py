@@ -1,9 +1,9 @@
-"""Imaginary quadratic irrationals (a + sqrt(-n))/c closed under PSL(2,Z).
+"""Imaginary quadratic irrationals (a + sqrt(-n))/c closed under the extended group.
 
 Membership requires c | a^2 + n; the quotient b = (a^2 + n)/c makes each
 element carry the integral form [c, -2a, b] of discriminant -4n. Moebius
-images of members are members again, and orbit exploration pairs with the
-form-equivalence test as a cross-check.
+images of members under either determinant sign are members again; the
+orbit walks the rotation subgroup, cross-checked by proper equivalence.
 """
 
 from __future__ import annotations
@@ -88,13 +88,13 @@ def element_form(alpha: QuadFieldElement) -> QuadraticForm:
 
 
 def act(g: GroupElement, alpha: QuadFieldElement) -> QuadFieldElement:
-    """Exact Moebius image of alpha; defined for determinant +1 only.
+    """Exact Moebius image of alpha under any element of the extended group.
 
-    The numerator and denominator data stay divisible by c, so closure is
+    group._mobius is the point action: a determinant -1 element is evaluated
+    at conj(alpha), so R maps alpha to -conj(alpha), a/c/n to -a/c/n. Both
+    outputs are divisible by c for either determinant sign, and closure is
     re-verified by the membership arithmetic on every call.
     """
-    if g.det == -1:
-        raise ValueError("the quadratic irrational action is restricted to determinant +1")
     a, c, n = alpha
     top, bottom, _ = _mobius(g, a, c, -n)
     return QuadFieldElement(top // c, bottom // c, n)

@@ -606,3 +606,19 @@ def test_bqf_process_has_no_digit_limit(argv, stdout):
     # a bqf process lifts CPython's digit limit; argv's own length cap bounds every int
     proc = subprocess.run([sys.executable, "-m", "bqf", *argv], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
+def test_point_form_past_the_prime_bound_is_fast():
+    # F = 2^16384 + 1 has no prime factor below 2^16, so the cofactor F^2 of the point
+    # F,F,-1 runs the whole trial loop; above MAX_PRIME_BITS it gets no primality test
+    digits = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-c",
+         "f = 2**16384 + 1; print(f, f * f, 2 * f * f, f * f + 1)"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    f, a, b, c = digits.split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bqf", "point-form", f"{f},{f},-1"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"form: {a},{b},{c}\nscale: 1/{c}\n", "")

@@ -23,7 +23,7 @@ from bqf import (
     reduce_form,
 )
 from bqf import points
-from bqf.residues import smallest_prime_factors
+from bqf.residues import is_prime, smallest_prime_factors
 
 from helpers import random_element, random_positive_definite, within_a_second
 
@@ -189,6 +189,29 @@ def test_trial_loop_worst_case_is_fast():
     ell, m = 2**40 - 87, 2**40 - 167
     z = within_a_second(lambda: AlgebraicPoint(0, ell * m, -ell * m))
     assert triple(z) == (0, ell * m, -ell * m)
+
+
+def test_cofactor_prime_bound_keeps_every_triple_and_time(monkeypatch):
+    # the prime test on the cofactor only ends trial division early, so with the bound
+    # lowered to 20 bits, cofactors on both sides of it give the same triples; a prime ell
+    # of up to 32 bits in both q and D is often the cofactor left after the small primes
+    rng = random.Random(0x78)
+    pool = [n for n in (rng.randrange(1 << (b - 1), 1 << b) for b in range(2, 33) for _ in range(12))
+            if is_prime(n)]
+    cases = []
+    for _ in range(600):
+        s = math.prod(rng.choice(pool) ** rng.randint(1, 2) for _ in range(rng.randint(0, 2)))
+        ell = rng.choice(pool)
+        d = -ell * math.gcd(s * s, rng.choice(pool) ** 2 * rng.choice(pool)) * rng.randint(1, 1000)
+        cases.append((s * ell * rng.randint(-1000, 1000), s * ell * rng.randint(1, 1000), d))
+    expected = [triple(AlgebraicPoint(*args)) for args in cases]
+    monkeypatch.setattr(points, "MAX_PRIME_BITS", 20)
+    assert [triple(AlgebraicPoint(*args)) for args in cases] == expected
+    monkeypatch.undo()
+    # F = 2^16384 + 1 has no prime factor below 2^16, so the cofactor F^2 of (F, F, -1)
+    # runs the whole trial loop, with no primality test above the real bound
+    f = 2**16384 + 1
+    assert triple(within_a_second(lambda: AlgebraicPoint(f, f, -1))) == (f, f, -1)
 
 
 def test_trial_division_reads_primes_off_the_one_table():

@@ -1,13 +1,10 @@
 """Primality, Legendre symbols, residue tables, and the scaling criterion."""
 
-import inspect
 import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bqf import (
     is_prime,
@@ -406,23 +403,3 @@ def test_sqrt_mod_prime_ends_when_p_is_no_odd_prime():
 
     raised = within_a_second(sweep)
     assert {2, 9, 21, 25, 45} <= raised
-
-
-# arguments by parameter name: ints up to 400 digits, with p also near the
-# residue-set bound 10^6 and bound near the search cap 10^4
-BIG = st.integers(-(10**400), 10**400) | st.integers(-50, 2000)
-ARGUMENTS = {"n": BIG, "value": BIG, "a": BIG,
-             "p": BIG | st.integers(10**6 - 60, 10**6 + 60),
-             "bound": BIG | st.integers(10**4 - 5, 10**4 + 5)}
-
-
-@settings(deadline=None, max_examples=600)
-@given(st.sampled_from(residues.__all__), st.data())
-def test_residue_api_returns_or_raises_value_error(name, data):
-    # every public residue function, on any ints: a value or ValueError, within a second
-    fn = getattr(residues, name)
-    args = [data.draw(ARGUMENTS[param], label=param) for param in inspect.signature(fn).parameters]
-    try:
-        within_a_second(lambda: fn(*args))
-    except ValueError:
-        pass
