@@ -2,7 +2,9 @@
 
 import inspect
 import math
+import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -87,5 +89,27 @@ def test_public_api_returns_or_raises_value_error(name, data):
         args.append(data.draw(strategy, label=param))
     try:
         within_a_second(lambda: fn(*args))
+    except ValueError:
+        pass
+
+
+WORD_AT_BOUND = "".join(random.Random(5).choice("RTUV") for _ in range(10**5))
+ALPHA, BETA = bqf.QuadFieldElement(0, 1, 59), bqf.QuadFieldElement(1, 2, 59)  # not in one orbit
+AT_BOUND = [
+    *[(name, (-9999999999,)) for name in ("class_number", "enumerate_reduced",
+                                          "enumerate_almost_reduced", "almost_reduced_count")],
+    ("orbit_explore", (ALPHA, 12)),
+    ("same_orbit_form_check", (ALPHA, BETA, 12)),
+    ("word_to_element", (WORD_AT_BOUND,)),
+    ("normalize_word", (WORD_AT_BOUND,)),
+]
+
+
+@pytest.mark.parametrize("name, args", AT_BOUND, ids=[name for name, _ in AT_BOUND])
+def test_bounded_api_at_its_bound_returns_or_raises_value_error(name, args):
+    # the costly inputs the fuzz above rarely draws: |delta| just under the enumeration
+    # bound, depth-12 orbits and 10^5-letter words, each a value or ValueError within a second
+    try:
+        within_a_second(lambda: getattr(bqf, name)(*args))
     except ValueError:
         pass

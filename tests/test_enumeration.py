@@ -216,8 +216,8 @@ def test_root_enumeration_matches_box_scan(delta):
 
 
 def test_root_enumeration_matches_box_scan_exhaustively():
-    # every admissible delta in [-5000, -3]: odd a with root 0 of an odd delta
-    # (b = a), both parity fixes b = s and b = s - a, and even a = 2^j m, j <= 5
+    # every admissible delta in [-5000, -3]: roots x = a of an odd delta (b = a),
+    # x on both sides of a (b = x and b = x - 2a), and the CRT for even a = 2^j m, j <= 5
     for delta in range(-5000, -2):
         if delta % 4 not in (0, 1):
             continue
@@ -232,6 +232,23 @@ def test_root_enumeration_matches_box_scan_exhaustively():
             ], delta
         assert class_number(delta) == sum(f.is_reduced() and f.is_primitive() for f in box), delta
         assert almost_reduced_count(delta) == sum(f.is_almost_reduced() for f in box), delta
+
+
+@pytest.mark.parametrize("delta, p", [(-(2**33), 2), (-4 * 3**19, 3), (-4 * 5**13, 5),
+                                      (-4 * 7**11, 7)])
+def test_prime_power_roots_match_a_scan_of_b(delta, p):
+    # a = p^k far past the exhaustive range, where many roots lift from k - 1 to k
+    # (and powers of 2 and of 11, which divides no delta here): the almost-reduced b
+    # with that a are exactly those of a scan of b in [-a, a]
+    by_a = {}
+    for f in enumerate_almost_reduced(delta):
+        by_a.setdefault(f.a, []).append(f.b)
+    powers = [q ** k for q in {2, p, 11} for k in range(1, 40) if 3 * q ** (2 * k) <= -delta]
+    assert max(powers) > 10**4
+    for a in powers:
+        scan = [b for b in range(-a, a + 1)
+                if (b * b - delta) % (4 * a) == 0 and (b * b - delta) // (4 * a) >= a]
+        assert by_a.get(a, []) == scan, a
 
 
 def test_enumeration_bound():
