@@ -19,7 +19,7 @@ from operator import eq, itemgetter
 from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduced
 from .forms import QuadraticForm
 from .group import element_to_word
-from .points import AlgebraicPoint, base_point, form_from_point
+from .points import AlgebraicPoint, _normalize, base_point, form_from_point
 from .qfield import QuadFieldElement, orbit_explore, same_orbit_form_check
 from .reduction import equivalent, reduce_form
 from .residues import legendre
@@ -36,12 +36,14 @@ def _screen(plane: list[tuple[float, float]]) -> list[float]:
     return [c for x, y in plane for c in ((x - _XMIN) * _SCALE, (_YMAX - y) * _SCALE)]
 
 
-def _exact(z: AlgebraicPoint) -> tuple:
-    """The exact plot key of a point: (Re, |z|^2) as Fractions."""
-    return z.re(), z.abs_sq()
+def _exact(z: tuple[int, int, int]) -> tuple:
+    """The exact plot key of a point triple (p, q, D): (Re, |z|^2) as Fractions."""
+    import fractions
+    p, q, d = z
+    return fractions.Fraction(p, q), fractions.Fraction(p * p - d, q * q)
 
 
-def _plot_order(points: list[AlgebraicPoint]) -> list[tuple[float, AlgebraicPoint]]:
+def _plot_order(points: list[tuple[int, int, int]]) -> list[tuple[float, tuple]]:
     """(float Re, point) pairs in _exact order; OverflowError for an Re past the float range.
 
     Correctly rounded floats of Re are monotone, so distinct ones already
@@ -81,11 +83,12 @@ def _frame(region: str) -> str:
     ])
 
 
-def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
+def render_region_svg(points: list[tuple[int, int, int]], region: str) -> str:
     """Deterministic SVG: region boundary plus one marker per point.
 
-    Markers come in _exact order, coordinates to six decimals; the least point in that
-    order whose Re, Im or screen x does not fit in a float is refused with ValueError.
+    points are AlgebraicPoints or their stored (p, q, D) triples. Markers come in _exact
+    order, coordinates to six decimals; the least point in that order whose Re, Im or
+    screen x does not fit in a float is refused with ValueError.
     """
     if region not in ("pi", "pibar"):
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
@@ -99,12 +102,13 @@ def render_region_svg(points: list[AlgebraicPoint], region: str) -> str:
             int(coords[0]), int(coords[-2])  # OverflowError for an infinite end
     except OverflowError:  # Re, Im, q or screen x; the least unfit point is the first such marker
         unfit = []
-        for z in points:
+        for p, q, d in points:
             try:
-                int(_screen([(z.p / z.q, math.sqrt(-z.D) / z.q)])[0])  # int(+-inf) raises
+                int(_screen([(p / q, math.sqrt(-d) / q)])[0])  # int(+-inf) raises
             except OverflowError:
-                unfit.append(z)
-        raise ValueError(f"point {min(unfit, key=_exact)} does not fit in a float") from None
+                unfit.append((p, q, d))
+        least = AlgebraicPoint(*min(unfit, key=_exact))  # its own triple: normalizing is idempotent
+        raise ValueError(f"point {least} does not fit in a float") from None
     markers = ('<circle cx="%.6f" cy="%.6f" r="4"/>\n' * len(keyed)) % tuple(coords)
     return _frame(region) + markers + "</g>\n</svg>\n"
 
@@ -184,7 +188,8 @@ def _cmd_check_t32(args) -> tuple[dict, str]:
 
 
 def _cmd_plot(args) -> tuple[None, str]:
-    """The items parsed as one text, or on any error item by item, naming the first bad one."""
+    """The items parsed as one text into normalized triples, no value object per item;
+    on any error they are parsed again item by item, naming the first bad one."""
     items = args.items
     if len(items) > _POINT_LIMIT:  # before any item is parsed
         raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
@@ -194,9 +199,12 @@ def _cmd_plot(args) -> tuple[None, str]:
         if not plain or {item.count(",") for item in items} != {2}:
             raise ValueError
         ints = map(int, text.split(","))
-        triples = zip(ints, ints, ints)
-        markers = ([AlgebraicPoint(*t) for t in triples] if args.points
-                   else [base_point(QuadraticForm(*t)) for t in triples])
+        triples = list(zip(ints, ints, ints))
+        if not args.points:  # base_point's triple; q > 0 > D is then a > 0 > b^2 - 4ac
+            triples = [(b, 2 * a, b * b - 4 * a * c) for a, b, c in triples]
+        if not all(q > 0 > d for _, q, d in triples):  # AlgebraicPoint's and base_point's checks
+            raise ValueError
+        markers = list(itertools.starmap(_normalize, triples))  # the triples AlgebraicPoint stores
     except ValueError:
         if args.points:
             markers = [AlgebraicPoint.parse(item) for item in items]

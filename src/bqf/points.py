@@ -30,6 +30,12 @@ def _prime_flags() -> bytes:
     return smallest_prime_factors()[2:].translate(bytes([1]) + bytes(255))
 
 
+@functools.cache
+def _small_primorial() -> int:
+    """The product of the primes below 2^16, ~94k bits: one gcd finds if any divides."""
+    return math.prod(itertools.compress(range(2, 1 << 16), _prime_flags()))
+
+
 def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     g = math.gcd(p, q)
     if g == 1:  # nothing can be stripped, so this is the minimal triple
@@ -38,8 +44,9 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     h = math.gcd(d, q * q)  # Im^2 = -(d/h) / (q^2/h) in lowest terms
     m = q * q // h
     rest = m // math.gcd(m, den_re * den_re)  # M'
-    k = 1  # a prime test only ends the loop early, so a rest past MAX_PRIME_BITS skips it
-    if rest > 1 and not (rest.bit_length() <= MAX_PRIME_BITS and is_prime(rest)):  # often rest = 1
+    k = 1  # a prime rest, or one past MAX_PRIME_BITS with no prime factor below 2^16, ends the loop
+    if rest > 1 and not (is_prime(rest) if rest.bit_length() <= MAX_PRIME_BITS  # often rest = 1
+                         else math.gcd(rest, _small_primorial()) == 1):
         for f in itertools.compress(range(2, 1 << 16), _prime_flags()):
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break

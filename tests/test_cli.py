@@ -533,6 +533,61 @@ def test_large_plots_are_the_fraction_order():
                       + [left] * 2]
 
 
+def plot_forms(rng):
+    """500 forms with coefficients <= 1000 and 500 tall ones, Im up to ~10^9: there a
+    marker's screen y is ~10^11, so one ulp shows in its six decimals."""
+    forms = [random_positive_definite(rng, 1000) for _ in range(500)]
+    for a in (rng.randint(1, 50) for _ in range(500)):
+        forms.append(QuadraticForm(a, rng.randint(-a, a), rng.randint(10**12, 10**18)))
+    rng.shuffle(forms)
+    return forms
+
+
+def test_plot_of_odd_multiples_is_byte_identical():
+    # k*f, and the point spelling k*(b, 2a, b^2 - 4ac) of its base point, carry an odd
+    # factor that normalization strips; unstripped, sqrt(-D)/q can round another way
+    rng = random.Random(0x5F7)
+    forms = plot_forms(rng)
+    ks = [rng.choice((3, 5, 9, 15)) for _ in forms]
+    scaled = [f"{k * a},{k * b},{k * c}" for k, (a, b, c) in zip(ks, forms)]
+    spelled = [f"{k * f.b},{2 * k * f.a},{k * k * f.discriminant()}" for k, f in zip(ks, forms)]
+    for region in ("pi", "pibar"):
+        want = run(["plot", "--region", region, *map(str, forms)])
+        assert want[0] == 0 and want[1].count("<circle") == 1000
+        assert run(["plot", "--region", region, *scaled]) == want
+        assert run(["plot", "--points", "--region", region, "--", *spelled]) == want
+
+
+@pytest.mark.parametrize("points", [False, True], ids=["forms", "points"])
+def test_one_bad_item_among_many_is_named_as_alone(points):
+    # 1,0,-1 is indefinite as a form and has q = 0 as a point
+    rng = random.Random(0x5F8 + points)
+    items = [str(base_point(f)) if points else str(f) for f in plot_forms(rng)[:999]]
+    for at in (0, 500, 999):
+        bad = items[:at] + ["1,0,-1"] + items[at:]
+        got = run(["plot", *["--points"] * points, "--", *bad])
+        assert got[0] == 1 and got == per_item_plot(bad, points, "pi")
+
+
+def test_render_takes_stored_triples():
+    rng = random.Random(0x5F9)
+    q = 2**60 + 12345
+    ties = [AlgebraicPoint(q // 3 + rng.randrange(3), q, -rng.randint(1, 10**30))
+            for _ in range(200)]
+    far = [AlgebraicPoint(10**400, 1, -1), AlgebraicPoint(1, 1, -(10**400))]
+    for pts in ([base_point(f) for f in plot_forms(rng)], ties, ties + far):
+        for region in ("pi", "pibar"):
+            try:
+                want = render_region_svg(pts, region)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = render_region_svg(list(map(tuple, pts)), region)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+
+
 FRAME_SHA256 = {
     "pi": "8b3b982f6649e787a4b0898f1b2364285f7b2f6b0a59ba86d132e31ca72582e8",
     "pibar": "b587c48321468a2cee01309a24c7ebfc0860e1c1a9238ef9fd87630ea594e166",
@@ -610,7 +665,7 @@ def test_bqf_process_has_no_digit_limit(argv, stdout):
 
 def test_point_form_past_the_prime_bound_is_fast():
     # F = 2^16384 + 1 has no prime factor below 2^16, so the cofactor F^2 of the point
-    # F,F,-1 runs the whole trial loop; above MAX_PRIME_BITS it gets no primality test
+    # F,F,-1 is above MAX_PRIME_BITS: no primality test, and one gcd skips trial division
     digits = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=0", "-c",
          "f = 2**16384 + 1; print(f, f * f, 2 * f * f, f * f + 1)"],

@@ -209,9 +209,25 @@ def test_cofactor_prime_bound_keeps_every_triple_and_time(monkeypatch):
     assert [triple(AlgebraicPoint(*args)) for args in cases] == expected
     monkeypatch.undo()
     # F = 2^16384 + 1 has no prime factor below 2^16, so the cofactor F^2 of (F, F, -1)
-    # runs the whole trial loop, with no primality test above the real bound
+    # gets neither a primality test above the real bound nor, after one gcd, trial division
     f = 2**16384 + 1
     assert triple(within_a_second(lambda: AlgebraicPoint(f, f, -1))) == (f, f, -1)
+
+
+def test_cofactor_past_the_prime_bound_skips_trial_division_with_no_small_prime():
+    # F = 10^130000 + 7 has no prime factor below 2^16, so one gcd with their product
+    # shows that trial division of the ~864k-bit cofactor F^2 would strip nothing
+    f = 10**130000 + 7
+    assert math.gcd(f, points._small_primorial()) == 1
+    assert triple(within_a_second(lambda: AlgebraicPoint(f, f, -1))) == (f, f, -1)
+    # a small prime factor still sends a cofactor past the bound through the loop
+    f = 2**16384 + 1
+    assert triple(within_a_second(lambda: AlgebraicPoint(3 * f, 3 * f, -1))) == (3 * f, 3 * f, -1)
+
+
+def test_small_primorial_is_the_product_of_the_table_primes():
+    spf = smallest_prime_factors()
+    assert points._small_primorial() == math.prod(n for n in range(2, len(spf)) if spf[n] == 0)
 
 
 def test_trial_division_reads_primes_off_the_one_table():
