@@ -20,7 +20,7 @@ from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduc
 from .forms import QuadraticForm
 from .group import element_to_word
 from .points import AlgebraicPoint, _normalize, base_point, form_from_point
-from .qfield import QuadFieldElement, orbit_explore, same_orbit_form_check
+from .qfield import QuadFieldElement, _orbit, same_orbit_form_check
 from .reduction import equivalent, reduce_form
 from .residues import legendre
 
@@ -175,8 +175,8 @@ def _cmd_legendre(args) -> tuple[dict, str]:
 
 
 def _cmd_orbit(args) -> tuple[dict, str]:
-    orbit = orbit_explore(args.element, args.depth)
-    names = [str(e) for e in sorted(orbit, key=lambda e: (e.a, e.c))]
+    n = args.element.n  # within one n, (a, c) fixes b, so the triples sort as (a, c) would
+    names = [f"{a}/{c}/{n}" for a, c, _ in sorted(_orbit(args.element, args.depth))]
     return {"elements": names, "count": len(names)}, _listing(names, "count")
 
 

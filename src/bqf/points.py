@@ -46,8 +46,11 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     rest = m // math.gcd(m, den_re * den_re)  # M'
     k = 1  # a prime rest, or one past MAX_PRIME_BITS with no prime factor below 2^16, ends the loop
     if rest > 1 and not (is_prime(rest) if rest.bit_length() <= MAX_PRIME_BITS  # often rest = 1
-                         else math.gcd(rest, _small_primorial()) == 1):
-        for f in itertools.compress(range(2, 1 << 16), _prime_flags()):
+                         else (small := math.gcd(rest, _small_primorial())) == 1):
+        primes = itertools.compress(range(2, 1 << 16), _prime_flags())
+        if rest.bit_length() > MAX_PRIME_BITS:  # no other prime below 2^16 divides rest
+            primes = [f for f in primes if small % f == 0]
+        for f in primes:
             if rest < f * f * f:  # so rest is 1, a prime, l^2 or l*m
                 break
             if rest % f == 0:

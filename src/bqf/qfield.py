@@ -1,9 +1,9 @@
 """Imaginary quadratic irrationals (a + sqrt(-n))/c closed under the extended group.
 
-Membership requires c | a^2 + n; the quotient b = (a^2 + n)/c makes each
-element carry the integral form [c, -2a, b] of discriminant -4n. Moebius
-images of members under either determinant sign are members again; the
-orbit walks the rotation subgroup, cross-checked by proper equivalence.
+Membership requires c | a^2 + n; the quotient b = (a^2 + n)/c makes each element carry
+the integral form [c, -2a, b] of discriminant -4n. Moebius images of members under either
+determinant sign are members again; the orbit walks the rotation subgroup on int triples
+(orbit_explore validates each member once), cross-checked by proper equivalence.
 """
 
 from __future__ import annotations
@@ -101,27 +101,34 @@ def act(g: GroupElement, alpha: QuadFieldElement) -> QuadFieldElement:
 
 
 def _orbit(alpha: QuadFieldElement, depth: int) -> Iterator[tuple[int, int, int]]:
-    """Each new triple (a, c, b) of the orbit, breadth first over words in T, U, V
-    up to depth, alpha first. With b = (a^2 + n)/c the generators act by additions,
-    the moves _reduce makes on form triples: T (a, c, b) -> (-a, b, c),
-    U -> (-a - c, 2a + b + c, c), V -> (-a - b, b, 2a + b + c)."""
+    """Each new triple (a, c, b) of the orbit, breadth first over words in T, U, V up to
+    depth, alpha first. With b = (a^2 + n)/c the generators act by additions, the moves
+    _reduce makes on form triples: T (a, c, b) -> (-a, b, c), U -> (-a - c, 2a + b + c, c),
+    V -> (-a - b, b, 2a + b + c). As T^2 = U^3 = 1 (V = U^2), a node reached by T has its
+    parent as T image, one reached by U or V its parent and sibling as U, V images: only the
+    other kind of move is tried (alpha takes all three); seen catches words meeting at i, rho."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_ORBIT_DEPTH:
         raise ValueError(f"depth {depth} exceeds the configured maximum {MAX_ORBIT_DEPTH}")
-    frontier = [(alpha.a, alpha.c, alpha.b)]
-    seen = set(frontier)
-    yield frontier[0]
+    by_t = by_uv = [(alpha.a, alpha.c, alpha.b)]
+    seen = set(by_t)
+    yield by_t[0]
     for _ in range(depth):
-        grown = []
-        for a, c, b in frontier:
+        grown_t, grown_uv = [], []
+        for a, c, b in by_uv:
+            if (image := (-a, b, c)) not in seen:
+                seen.add(image)
+                grown_t.append(image)
+                yield image
+        for a, c, b in by_t:
             s = 2 * a + b + c
-            for image in ((-a, b, c), (-a - c, s, c), (-a - b, b, s)):
+            for image in ((-a - c, s, c), (-a - b, b, s)):
                 if image not in seen:
                     seen.add(image)
-                    grown.append(image)
+                    grown_uv.append(image)
                     yield image
-        frontier = grown
+        by_t, by_uv = grown_t, grown_uv
 
 
 def orbit_explore(alpha: QuadFieldElement, depth: int) -> set[QuadFieldElement]:

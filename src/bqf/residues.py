@@ -9,6 +9,8 @@ __all__ = ["is_prime", "legendre", "quadratic_residues", "residue_complement_law
            "scaled_form_criterion", "scaled_representation_oracle"]
 
 MAX_PRIME_BITS = 2**12  # longest p the odd-prime checks test; is_prime has no bound
+MAX_RESIDUE_SET_P = 10**6  # largest p whose residue set quadratic_residues builds
+MAX_ORACLE_BOUND = 10**4  # largest search bound of scaled_representation_oracle
 
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_k, the least strong pseudoprime to the first k bases (OEIS A014233), k = 1..12
@@ -154,7 +156,7 @@ def quadratic_residues(p: int) -> frozenset[int]:
     The set is built in full, so a larger p raises ValueError. The last
     set is cached: a loop over the residues of one p builds it once.
     """
-    if p > 10**6:
+    if p > MAX_RESIDUE_SET_P:
         raise ValueError(f"p = {p} exceeds the residue-set bound 10^6")
     _require_odd_prime(p)
     return frozenset(r * r % p for r in range(1, (p - 1) // 2 + 1))
@@ -188,8 +190,8 @@ def scaled_representation_oracle(
     a witness (the search is over integers, capped at 10^4).
     """
     _require_odd_prime(p)
-    if not 1 <= bound <= 10_000:
-        raise ValueError("bound must be between 1 and 10000")
+    if not 1 <= bound <= MAX_ORACLE_BOUND:
+        raise ValueError(f"bound must be between 1 and {MAX_ORACLE_BOUND}")
     if value < 0:
         return None
     t_max = min(bound, math.isqrt(value // p))

@@ -42,6 +42,9 @@ def field_element(a, c, k):
     return bqf.QuadFieldElement(a, c, (-a * a) % c + c * k)  # n from the class of -a^2 mod c
 
 
+LARGEST_SET_PRIME = max(filter(residues.is_prime, range(residues.MAX_RESIDUE_SET_P - 200,
+                                                         residues.MAX_RESIDUE_SET_P + 1)))
+
 # values by parameter name: ints up to 400 digits, words over R, T, U, V up to 10^5
 # letters, and the forms, points, group elements and irrationals built from them
 BIG = st.integers(-(10**400), 10**400) | st.integers(-50, 2000)
@@ -57,8 +60,9 @@ POINT = st.builds(bqf.base_point, DEFINITE) | st.builds(bqf.AlgebraicPoint, BIG,
 FIELD = st.builds(field_element, BIG, POSITIVE, POSITIVE)
 ARGUMENTS = {
     **dict.fromkeys(["a", "b", "c", "n", "value", "r", "s", "t", "u", "q", "D", "steps"], BIG),
-    "p": BIG | st.integers(10**6 - 60, 10**6 + 60) | st.sampled_from([3, 5, 999983, 2**89 - 1]),
-    "bound": BIG | st.integers(10**4 - 5, 10**4 + 5),
+    "p": BIG | st.integers(residues.MAX_RESIDUE_SET_P - 60, residues.MAX_RESIDUE_SET_P + 60)
+    | st.sampled_from([3, 5, LARGEST_SET_PRIME, 2**89 - 1]),
+    "bound": BIG | st.integers(residues.MAX_ORACLE_BOUND - 5, residues.MAX_ORACLE_BOUND + 5),
     "delta": st.integers(0, 9).flatmap(lambda k: st.integers(-(10**k) - 4, 4))
     | st.just(-(10**10) - 3) | BIG,  # -(10^10) - 3: past the enumeration bound
     "depth": st.integers(-1, 13),
@@ -102,6 +106,9 @@ AT_BOUND = [
     ("same_orbit_form_check", (ALPHA, BETA, 12)),
     ("word_to_element", (WORD_AT_BOUND,)),
     ("normalize_word", (WORD_AT_BOUND,)),
+    ("quadratic_residues", (LARGEST_SET_PRIME,)),
+    ("scaled_representation_oracle",  # no witness, so every t up to the bound is tried
+     (3 * residues.MAX_ORACLE_BOUND**2 + 2, 3, residues.MAX_ORACLE_BOUND)),
 ]
 
 

@@ -21,6 +21,7 @@ from bqf import base_point, cli
 from bqf.cli import main, render_region_svg
 from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
+from bqf.qfield import QuadFieldElement, orbit_explore
 
 from helpers import random_positive_definite
 
@@ -327,6 +328,22 @@ def test_second_double_dash_among_plot_items_is_a_usage_error():
         assert out == ""
         assert "usage:" in err and "Traceback" not in err, argv
         assert err.endswith(f"bqf {argv[0]}: error: '--' may be given only once\n"), argv
+
+
+def test_orbit_prints_the_sorted_orbit_explore_elements():
+    # bqf orbit prints the walk's int triples, no element per member; both formats must
+    # render orbit_explore's validated elements sorted by (a, c) through str, also at the
+    # stabilized points i = 0/1/1 and rho = -1/2/3, where two words meet
+    alphas = [QuadFieldElement(*t) for t in [(0, 1, 1), (-1, 2, 3), (0, 2, 4), (1, 2, 3), (1, 2, 5),
+                                             (-7, 4, 15), (-1375, 37, 999963)]]
+    for alpha in alphas:
+        for depth in (0, 1, 5, 12):
+            names = [str(e) for e in sorted(orbit_explore(alpha, depth), key=lambda e: (e.a, e.c))]
+            argv = ["--depth", str(depth), "--", str(alpha)]
+            text = "".join(f"{name}\n" for name in names) + f"count={len(names)}\n"
+            assert run(["orbit", *argv]) == (0, text, "")
+            json_out = json.dumps({"count": len(names), "elements": names}, sort_keys=True) + "\n"
+            assert run(["orbit", "--format", "json", *argv]) == (0, json_out, "")
 
 
 def test_values_may_start_with_minus():

@@ -315,18 +315,43 @@ def test_additive_images_are_the_generator_actions():
         checked += 1
 
 
+# i = 0/1/1 and rho = -1/2/3, and 0/2/4 and 1/2/3 over them, have nontrivial stabilizers,
+# so two words of one length meet there and the walk's seen set has work to do
+STABILIZED = [QuadFieldElement(0, 1, 1), QuadFieldElement(-1, 2, 3), QuadFieldElement(0, 2, 4),
+              QuadFieldElement(1, 2, 3)]
+
+
+def test_walk_matches_reference_bfs_at_stabilized_points():
+    # every alpha with n <= 12 and |a| <= 3, the four stabilized points among them
+    elements = [membership(a, c, n) for n in range(1, 13) for a in range(-3, 4)
+                for c in range(1, a * a + n + 1)]
+    elements = [alpha for alpha in elements if alpha is not None]
+    assert set(STABILIZED) <= set(elements)
+    for alpha in elements:
+        layers = [[] for _ in range(13)]
+        for e, d in reference_orbit_distances(alpha, 12).items():
+            layers[d].append((e.a, e.c, e.b))
+        expected = set()
+        for depth, layer in enumerate(layers):
+            expected.update(layer)
+            walked = list(_orbit(alpha, depth))
+            assert len(walked) == len(expected) and set(walked) == expected  # no triple twice
+
+
 def test_same_orbit_form_check_matches_orbit_membership():
-    for alpha in orbit_test_elements()[:5]:
-        orbit = sorted(orbit_explore(alpha, 6))
-        betas = orbit[::9] + [QuadFieldElement(alpha.a + alpha.c, alpha.c, alpha.n)]
-        betas += [b for b in orbit_explore(alpha, 8) if b not in orbit][:3]  # beyond depth 6
-        betas.append(QuadFieldElement(0, 1, alpha.n))  # the principal class; inequivalent to most
-        for beta in betas:
-            for depth in (0, 3, 6):
-                fa, fb = element_form(alpha), element_form(beta)
-                expected = SameOrbitReport(
-                    fa, fb, equivalent(fa, fb) is not None, beta in orbit_explore(alpha, depth), depth
-                )
+    # reachable against the reference distance k, not against orbit_explore, which shares the
+    # walk: beta is missed at depth k - 1 and reached at depth k; past depth 12, never reached
+    for alpha in STABILIZED + orbit_test_elements()[:5]:
+        dist = reference_orbit_distances(alpha, 12)
+        betas = sorted(dist.items())[::7]
+        betas += [(beta, 13) for beta in (QuadFieldElement(alpha.a + alpha.c, alpha.c, alpha.n),
+                                          QuadFieldElement(0, 1, alpha.n)) if beta not in dist]
+        fa = element_form(alpha)
+        for beta, k in betas:
+            fb = element_form(beta)
+            forms_equivalent = equivalent(fa, fb) is not None
+            for depth in {max(k - 1, 0), min(k, 12)}:
+                expected = SameOrbitReport(fa, fb, forms_equivalent, k <= depth, depth)
                 assert same_orbit_form_check(alpha, beta, depth) == expected
 
 
