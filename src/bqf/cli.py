@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=8)
 
     p = sub.add_parser("plot", help="SVG of points in a fundamental region")
-    p.set_defaults(handler=_cmd_plot, format="text")
+    p.set_defaults(handler=_cmd_plot)
     p.add_argument("items", nargs="*", help="forms a,b,c or (with --points) points p,q,D")
     p.add_argument("--points", action="store_true", help="arguments are points")
     p.add_argument("--region", choices=("pi", "pibar"), default="pi")

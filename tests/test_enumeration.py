@@ -139,6 +139,7 @@ def test_class_numbers():
     assert class_number(-20) == 2
     assert class_number(-23) == 3
     assert class_number(-163) == 1
+    assert class_number(-9999999999) == 110464  # just inside the enumeration bound 10^10
 
 
 def test_primitive_filter():
