@@ -1,4 +1,12 @@
-"""Value, the immutable base of the library's value types."""
+"""Value, the immutable base of the library's value types, and two text helpers."""
+
+
+def _plain(text: str) -> bool:  # ASCII, printable and no "_", as str() writes an int
+    return text.isascii() and text.isprintable() and "_" not in text
+
+
+def _bound_text(bound: int) -> str:  # as error texts write a bound: 10^k for 10**k, else digits
+    return f"10^{len(str(bound)) - 1}" if str(bound).rstrip("0") == "1" else str(bound)
 
 
 def _within_kind(compare):
@@ -57,9 +65,8 @@ class Value(tuple):
             raise TypeError(f"{cls.__name__} has no text form to parse")
         sep, mid = fmt[2], fmt[5]  # the first two separators
         parts = text.replace(mid, sep).split(sep)
-        plain = text.isascii() and text.isprintable() and "_" not in text  # as str() writes
         try:
-            ints = [int(part) for part in parts] if plain else []
+            ints = [int(part) for part in parts] if _plain(text) else []
         except ValueError:  # the format's error, not int()'s; cls keeps its own
             ints = []
         if len(ints) != len(cls._fields) or (mid != sep and fmt % tuple(parts) != text):

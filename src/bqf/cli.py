@@ -16,6 +16,7 @@ import re
 import sys
 from operator import eq, itemgetter
 
+from ._value import _plain
 from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduced
 from .forms import QuadraticForm
 from .group import element_to_word
@@ -29,6 +30,12 @@ _SCALE = 200.0
 _XMIN, _XMAX, _YMAX = -1.6, 1.6, 2.4
 _ARC_SEGMENTS = 64
 _POINT_LIMIT = 10_000
+
+
+def _plottable(items: list) -> list:  # items, or ValueError past _POINT_LIMIT of them
+    if len(items) > _POINT_LIMIT:
+        raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
+    return items
 
 
 def _screen(plane: list[tuple[float, float]]) -> list[float]:
@@ -92,10 +99,8 @@ def render_region_svg(points: list[tuple[int, int, int]], region: str) -> str:
     """
     if region not in ("pi", "pibar"):
         raise ValueError(f"region must be 'pi' or 'pibar', got {region!r}")
-    if len(points) > _POINT_LIMIT:
-        raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
     try:
-        keyed = _plot_order(points)
+        keyed = _plot_order(_plottable(points))
         coords = [c for x, (_, q, d) in keyed  # _screen of each (x, Im), inlined
                   for c in ((x - _XMIN) * _SCALE, (_YMAX - math.sqrt(-d) / q) * _SCALE)]
         if coords:  # screen x rises with Re, and Im < 2^512 keeps screen y finite
@@ -190,13 +195,10 @@ def _cmd_check_t32(args) -> tuple[dict, str]:
 def _cmd_plot(args) -> tuple[None, str]:
     """The items parsed as one text into normalized triples, no value object per item;
     on any error they are parsed again item by item, naming the first bad one."""
-    items = args.items
-    if len(items) > _POINT_LIMIT:  # before any item is parsed
-        raise ValueError(f"too many points to plot (limit {_POINT_LIMIT})")
+    items = _plottable(args.items)  # before any item is parsed
     text = ",".join(items)  # Value.parse's checks, once; two commas per item align the threes
-    plain = text.isascii() and text.isprintable() and "_" not in text
     try:
-        if not plain or {item.count(",") for item in items} != {2}:
+        if not _plain(text) or {item.count(",") for item in items} != {2}:
             raise ValueError
         ints = map(int, text.split(","))
         triples = list(zip(ints, ints, ints))

@@ -8,13 +8,14 @@ q the power of its least prime (from the one prime table
 residues.smallest_prime_factors()) and n > 1 odd, joins the roots for n and q,
 both found before a, by one CRT; a prime power lifts the roots for q / p, and
 only a prime not dividing delta takes Tonelli-Shanks. Counts build no form.
-|delta| is capped at MAX_ABS_DELTA = 10^10; above it the functions raise ValueError.
+|delta| is capped at MAX_ABS_DELTA; above it the functions raise ValueError.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
 
+from ._value import _bound_text
 from .forms import QuadraticForm
 from .residues import smallest_prime_factors, sqrt_mod_prime
 
@@ -36,8 +37,9 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
     # reduced (a, b, c), or almost-reduced ones, in (a, b) order; b in (-a, a], sorted
     validate_discriminant(delta)
     if -delta > MAX_ABS_DELTA:
-        raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound 10^10")
-    spf = smallest_prime_factors()  # a <= 57735 < 2^16
+        raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound "
+                         f"{_bound_text(MAX_ABS_DELTA)}")
+    spf = smallest_prime_factors()  # a <= isqrt(MAX_ABS_DELTA // 3) < 2^16
     roots = {1: [delta & 1]}  # a -> the x in [0, 2a) with x^2 = delta (mod 4a)
     out = []
     for a in range(1, isqrt(-delta // 3) + 1):
@@ -71,25 +73,20 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
 
 
 def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
-    """All reduced forms of the given discriminant, sorted by (a, b, c).
-
-    Raises ValueError when |delta| exceeds MAX_ABS_DELTA = 10^10.
-    """
+    """All reduced forms of discriminant delta, sorted by (a, b, c); |delta| <= MAX_ABS_DELTA."""
     return [QuadraticForm(*t) for t in _candidates(delta, False, primitive_only)]
 
 
-def enumerate_almost_reduced(
-    delta: int, primitive_only: bool = False
-) -> list[QuadraticForm]:
+def enumerate_almost_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
     """Like enumerate_reduced but keeping both boundary mirrors."""
     return [QuadraticForm(*t) for t in _candidates(delta, True, primitive_only)]
 
 
 def class_number(delta: int) -> int:
-    """h(delta): the number of primitive reduced forms; |delta| <= 10^10."""
+    """h(delta): the number of primitive reduced forms; |delta| <= MAX_ABS_DELTA."""
     return len(_candidates(delta, False, True))
 
 
 def almost_reduced_count(delta: int) -> int:
-    """Count of almost reduced forms, primitivity not required; |delta| <= 10^10."""
+    """Count of almost reduced forms, primitivity not required; |delta| <= MAX_ABS_DELTA."""
     return len(_candidates(delta, True, False))

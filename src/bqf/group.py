@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._value import Value
+from ._value import Value, _bound_text
 from .forms import QuadraticForm
 from .points import AlgebraicPoint
 
@@ -154,7 +154,7 @@ def element_to_word(g: GroupElement) -> str:
     runs (TU)^k (TV)^j come from the floor-division Euclidean algorithm on
     its rows: O(log) bigint steps, and the letter count follows from the
     runs before any letter is written. Raises ValueError when the word
-    would exceed MAX_WORD_LETTERS = 10^8 letters.
+    would exceed MAX_WORD_LETTERS letters.
     """
     r, s, t, u = g
     lead = "R" if r * u - s * t == -1 else ""
@@ -185,5 +185,6 @@ def element_to_word(g: GroupElement) -> str:
         runs.append((k, j))
     letters = len(lead + x + y) + 2 * sum(k + j for k, j in runs)
     if letters > MAX_WORD_LETTERS:
-        raise ValueError(f"word of {letters} letters exceeds the word bound 10^8")
+        raise ValueError(f"word of {letters} letters exceeds the word bound "
+                         f"{_bound_text(MAX_WORD_LETTERS)}")
     return lead + x + "".join(["TU" * k + "TV" * j for k, j in runs]) + y

@@ -55,9 +55,7 @@ class QuadFieldElement(Value, namedtuple("QuadFieldElement", "a c n")):
         return AlgebraicPoint(self.a, self.c, -self.n)
 
 
-def membership(
-    a: int, c: int, n: int, primitive_only: bool = False
-) -> QuadFieldElement | None:
+def membership(a: int, c: int, n: int, primitive_only: bool = False) -> QuadFieldElement | None:
     """The element (a + sqrt(-n))/c if the divisibility test passes.
 
     With primitive_only, additionally require gcd(a, b, c) = 1 for the

@@ -18,7 +18,7 @@ class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word
     witness mod sign, steps counts elementary moves. The word is
     element_to_word(witness), read off the witness as runs (TU)^k (TV)^j
     by a Euclidean algorithm on its rows; reduce_form raises ValueError
-    when it would exceed MAX_WORD_LETTERS = 10^8 letters.
+    when it would exceed MAX_WORD_LETTERS letters.
     """
 
     __slots__ = ()

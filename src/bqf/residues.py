@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import math
 
+from ._value import _bound_text
+
 __all__ = ["is_prime", "legendre", "quadratic_residues", "residue_complement_law",
            "scaled_form_criterion", "scaled_representation_oracle"]
 
@@ -88,8 +90,8 @@ def is_prime(n: int) -> bool:
 
 
 def _require_odd_prime(p: int) -> None:
-    if p.bit_length() > MAX_PRIME_BITS:
-        raise ValueError(f"p of {p.bit_length()} bits exceeds the prime bound of 4096 bits")
+    if (bits := p.bit_length()) > MAX_PRIME_BITS:
+        raise ValueError(f"p of {bits} bits exceeds the prime bound of {MAX_PRIME_BITS} bits")
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 
@@ -141,7 +143,7 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
 def smallest_prime_factors() -> bytes:
     """spf[n] for n < 2^16: the least prime factor of a composite n (at most 251,
     so one byte), 0 for a prime. The one prime table, built on first use, for
-    points trial division and enumeration's a <= isqrt(10^10 // 3) = 57735."""
+    points trial division and enumeration's a <= isqrt(MAX_ABS_DELTA // 3) < 2^16."""
     size = 1 << 16
     spf = bytearray(size)
     for i in range(math.isqrt(size - 1), 1, -1):  # downwards: the least factor wins
@@ -151,13 +153,13 @@ def smallest_prime_factors() -> bytes:
 
 @functools.lru_cache(maxsize=1)
 def quadratic_residues(p: int) -> frozenset[int]:
-    """The (p - 1)/2 nonzero squares mod p, for an odd prime p <= 10^6.
+    """The (p - 1)/2 nonzero squares mod p, for an odd prime p <= MAX_RESIDUE_SET_P.
 
     The set is built in full, so a larger p raises ValueError. The last
     set is cached: a loop over the residues of one p builds it once.
     """
     if p > MAX_RESIDUE_SET_P:
-        raise ValueError(f"p = {p} exceeds the residue-set bound 10^6")
+        raise ValueError(f"p = {p} exceeds the residue-set bound {_bound_text(MAX_RESIDUE_SET_P)}")
     _require_odd_prime(p)
     return frozenset(r * r % p for r in range(1, (p - 1) // 2 + 1))
 
@@ -181,13 +183,11 @@ def scaled_form_criterion(value: int, p: int) -> bool:
     return legendre(value, p) == 1
 
 
-def scaled_representation_oracle(
-    value: int, p: int, bound: int
-) -> tuple[int, int] | None:
+def scaled_representation_oracle(value: int, p: int, bound: int) -> tuple[int, int] | None:
     """Search |r|, |t| <= bound for r^2 + p t^2 == value; None if absent.
 
     Exhaustive only within the bound: a True criterion need not produce
-    a witness (the search is over integers, capped at 10^4).
+    a witness (the search is over integers, capped at MAX_ORACLE_BOUND).
     """
     _require_odd_prime(p)
     if not 1 <= bound <= MAX_ORACLE_BOUND:

@@ -1,10 +1,13 @@
-"""Shared generators for the randomized tests, and a time bound."""
+"""Shared generators for the randomized tests, a time bound and the README's path."""
 
 import math
 import signal
 import time
+from pathlib import Path
 
 from bqf import QuadraticForm, word_to_element
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def random_positive_definite(rng, max_coeff=10**6):

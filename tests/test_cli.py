@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
 from bqf.qfield import QuadFieldElement, orbit_explore
 
-from helpers import random_positive_definite
+from helpers import README, random_positive_definite
 
 
 def run(argv):
@@ -36,7 +35,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 # README examples that write a file, not stdout; every other `$ bqf` example is a golden
 README_FILE_WRITERS = [
     "plot 1,0,1 --region pi > unit.svg",
@@ -647,6 +645,12 @@ def test_plot_item_limit_checked_before_parsing(monkeypatch):
     assert (code, out) == (1, "")
     assert err == "error: too many points to plot (limit 10000)\n"
     assert calls == []
+
+
+def test_plot_item_limit_comes_before_a_malformed_item():
+    # the plot's own count check, not render_region_svg's after the parse, names the limit
+    code, out, err = run(["plot", *["1,0,1"] * 10_000, "x"])
+    assert (code, out, err) == (1, "", "error: too many points to plot (limit 10000)\n")
 
 
 def test_module_entry_point():
