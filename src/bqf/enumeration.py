@@ -13,6 +13,7 @@ only a prime not dividing delta takes Tonelli-Shanks. Counts build no form.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, isqrt
 
 from ._value import _bound_text
@@ -23,6 +24,8 @@ __all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
            "enumerate_reduced", "validate_discriminant"]
 
 MAX_ABS_DELTA = 10**10
+# QuadraticForm and Value define no __new__; the namedtuple's only calls tuple.__new__
+_form = functools.partial(tuple.__new__, QuadraticForm)
 
 
 def validate_discriminant(delta: int) -> None:
@@ -74,12 +77,12 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
 
 def enumerate_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
     """All reduced forms of discriminant delta, sorted by (a, b, c); |delta| <= MAX_ABS_DELTA."""
-    return [QuadraticForm(*t) for t in _candidates(delta, False, primitive_only)]
+    return list(map(_form, _candidates(delta, False, primitive_only)))
 
 
 def enumerate_almost_reduced(delta: int, primitive_only: bool = False) -> list[QuadraticForm]:
     """Like enumerate_reduced but keeping both boundary mirrors."""
-    return [QuadraticForm(*t) for t in _candidates(delta, True, primitive_only)]
+    return list(map(_form, _candidates(delta, True, primitive_only)))
 
 
 def class_number(delta: int) -> int:

@@ -40,10 +40,7 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
     g = math.gcd(p, q)
     if g == 1:  # nothing can be stripped, so this is the minimal triple
         return p, q, d
-    den_re = q // g
-    h = math.gcd(d, q * q)  # Im^2 = -(d/h) / (q^2/h) in lowest terms
-    m = q * q // h
-    rest = m // math.gcd(m, den_re * den_re)  # M'
+    rest = g * g // math.gcd(g * g, d)  # M' (see AlgebraicPoint)
     k = 1  # a prime rest, or one past MAX_PRIME_BITS with no prime factor below 2^16, ends the loop
     if rest > 1 and not (is_prime(rest) if rest.bit_length() <= MAX_PRIME_BITS  # often rest = 1
                          else (small := math.gcd(rest, _small_primorial())) == 1):
@@ -61,18 +58,18 @@ def _normalize(p: int, q: int, d: int) -> tuple[int, int, int]:
                     break
     r = math.isqrt(rest)
     k *= r if r * r == rest else rest
-    new_q = den_re * k
-    return p // g * k, new_q, d // h * (new_q * new_q // m)
+    return p // g * k, q // g * k, d * k * k // (g * g)
 
 
 class AlgebraicPoint(Value, namedtuple("AlgebraicPoint", "p q D")):
     """The point (p + sqrt(D))/q with D < 0 and q > 0, so Im > 0 always.
 
     The stored triple depends only on the point, so equality and hashing
-    compare fields. With Re = P/Q and Im^2 = -N/M in lowest terms it is
-    (P*k, Q*k, N*(Q*k)^2/M) for the least k with M' | k^2, M' = M/gcd(M, Q^2).
-    k comes from trial division of M' by the primes up to 2^16 in the one
-    prime table, residues.smallest_prime_factors(), stopped once the
+    compare fields. With g = gcd(p, q) it is (p/g*k, q/g*k, D*k^2/g^2) for
+    the least k with M' | k^2, M' = g^2/gcd(g^2, D). As g^2 | q^2, M' is
+    M/gcd(M, Q^2) for Re = P/Q and Im^2 = -N/M in lowest terms, a function of
+    the point. k comes from trial division of M' by the primes up to 2^16 in
+    the one prime table, residues.smallest_prime_factors(), stopped once the
     cofactor C is 1, prime or below f^3; C then adds isqrt(C) if it is a
     square, else C. The triple is minimal when the loop stops early, so for
     every M' <= 2^48; past that, C = l^2*m with primes l, m above 2^16

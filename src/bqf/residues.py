@@ -161,7 +161,7 @@ def quadratic_residues(p: int) -> frozenset[int]:
     if p > MAX_RESIDUE_SET_P:
         raise ValueError(f"p = {p} exceeds the residue-set bound {_bound_text(MAX_RESIDUE_SET_P)}")
     _require_odd_prime(p)
-    return frozenset(r * r % p for r in range(1, (p - 1) // 2 + 1))
+    return frozenset([r * r % p for r in range(1, (p - 1) // 2 + 1)])
 
 
 def residue_complement_law(p: int, a: int) -> bool:

@@ -23,6 +23,7 @@ from bqf import (
     validate_discriminant,
 )
 from bqf import enumeration
+from bqf._value import Value
 from bqf.residues import smallest_prime_factors
 
 from helpers import random_positive_definite
@@ -170,6 +171,11 @@ def test_outputs_well_formed_and_sorted():
             assert f.is_almost_reduced()
             assert f.discriminant() == delta
         assert set(reduced) <= set(almost)
+        # built by tuple.__new__, past the constructor: each is what the constructor gives
+        for f in reduced + almost:
+            assert type(f) is QuadraticForm and f == QuadraticForm(*f)
+    # which holds only while neither class has a __new__ that validates or normalizes
+    assert "__new__" not in vars(QuadraticForm) and "__new__" not in vars(Value)
 
 
 def test_against_rectangle_oracle():
@@ -300,6 +306,7 @@ def test_counts_build_no_forms(monkeypatch):
 
     h = class_number(-99999)
     monkeypatch.setattr(enumeration, "QuadraticForm", refuse)
+    monkeypatch.setattr(enumeration, "_form", refuse)
     assert (class_number(-23), almost_reduced_count(-23)) == (3, 4)
     assert (class_number(-12), almost_reduced_count(-12)) == (1, 3)
     assert class_number(-99999) == h

@@ -137,6 +137,10 @@ def test_normalized_triple_is_canonical():
 def test_normalization_matches_greedy_oracle(p, q, d, k):
     for args in ((p, q, d), (k * p, k * q, k * k * d)):
         assert triple(AlgebraicPoint(*args)) == greedy_normalize(*args)
+        # M' = g^2 / gcd(g^2, D), g = gcd(p, q), is M / gcd(M, Q^2): Im^2 = -N/M, Re = P/Q
+        pk, qk, dk = args
+        g, m = math.gcd(pk, qk), qk * qk // math.gcd(qk * qk, dk)
+        assert g * g // math.gcd(g * g, dk) == m // math.gcd(m, (qk // g) ** 2)
 
 
 @settings(deadline=None)
