@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: reduce, equiv, class-number, enumerate, base-point, point-form,
-legendre, orbit, check-t32, plot. Text output is line oriented; --format
-json emits the same data as a single sorted JSON object. Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.
+legendre, orbit, check-t32, plot. Text output is line oriented; all verbs
+but plot (which writes SVG) take --format json, the same data as one sorted
+JSON object. Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _cmd_legendre(args) -> tuple[dict, str]:
 
 def _cmd_orbit(args) -> tuple[dict, str]:
     n = args.element.n  # within one n, (a, c) fixes b, so the triples sort as (a, c) would
-    names = [f"{a}/{c}/{n}" for a, c, _ in sorted(_orbit(args.element, args.depth))]
+    names = [args.element._text % (a, c, n) for a, c, _ in sorted(_orbit(args.element, args.depth))]
     return {"elements": names, "count": len(names)}, _listing(names, "count")
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bqf
 from bqf import cli, enumeration, forms, group, points, qfield, reduction, residues
 
-from helpers import README, within_a_second
+from helpers import README, within
 
 
 def test_each_public_name_is_stated_once_by_its_module():
@@ -93,7 +93,7 @@ def test_public_api_returns_or_raises_value_error(name, data):
             strategy = ARGUMENTS[param]
         args.append(data.draw(strategy, label=param))
     try:
-        within_a_second(lambda: fn(*args))
+        within(1.0, lambda: fn(*args))
     except ValueError:
         pass
 
@@ -163,7 +163,7 @@ def test_bounded_api_at_its_bound_returns_or_raises_value_error(name, fn, at, pa
     # bound, depth-12 orbits, 10^5-letter words and each other bound's largest input,
     # each a value or ValueError within a second
     try:
-        within_a_second(lambda: fn(*at))
+        within(1.0, lambda: fn(*at))
     except ValueError:
         pass
 

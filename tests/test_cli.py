@@ -7,7 +7,6 @@ import math
 import random
 import re
 import shlex
-import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +21,7 @@ from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
 from bqf.qfield import QuadFieldElement, orbit_explore
 
-from helpers import README, random_positive_definite
+from helpers import README, Overtime, random_positive_definite, within
 
 
 def run(argv):
@@ -192,14 +191,6 @@ TEXT = "0123456789-+,/ ._ejx\u0661\u00b2"
 FUZZ_SECONDS = 5  # the slowest verb at its documented bound takes about 1 s
 
 
-class CaseTimeout(Exception):
-    """Raised by the per-case alarm; not a ValueError or OSError, so main passes it on."""
-
-
-def _raise_timeout(signum, frame):
-    raise CaseTimeout(f"a CLI call took over {FUZZ_SECONDS} s")
-
-
 nums = st.one_of(
     st.integers(-100, 100), st.integers(-(10**12), 10**12), st.integers(-(10**400), 10**400)
 )
@@ -238,14 +229,15 @@ unshaped = st.tuples(
 @given(shaped | unshaped.map(lambda drawn: [drawn[0], *drawn[1]]))
 def test_cli_exit_contract(argv):
     # 0, 1 or 2 on every input, never a traceback, and within the time bound
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
-    try:
-        code, _, _ = run(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, _, _ = within(FUZZ_SECONDS, lambda: run(argv))
     assert code in (0, 1, 2)
+
+
+def test_the_time_bound_passes_through_main():
+    # main turns a ValueError or OSError into exit 1; the alarm's Overtime is neither, so a
+    # slow call fails the fuzz above, where a TimeoutError would pass as a domain error
+    with pytest.raises(Overtime):
+        within(0.05, lambda: run(["class-number", "-9999999999"]))
 
 
 def full_parse(argv):

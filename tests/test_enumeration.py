@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +25,7 @@ from bqf import enumeration
 from bqf._value import Value
 from bqf.residues import smallest_prime_factors
 
-from helpers import random_positive_definite
+from helpers import random_positive_definite, within
 
 
 def rectangle_scan(delta, predicate):
@@ -268,9 +267,7 @@ def test_enumeration_bound():
 
 def test_class_number_large_discriminant_fast():
     # the (a, b) box has ~6.7*10^7 cells here; box_scan gives the same h in ~10 s
-    start = time.perf_counter()
-    assert class_number(-400000003) == 3172
-    assert time.perf_counter() - start < 2.0
+    assert within(2.0, lambda: class_number(-400000003)) == 3172
 
 
 @settings(deadline=None, max_examples=100)

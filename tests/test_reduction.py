@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from bqf import (
     word_to_element,
 )
 
-from helpers import random_element, random_positive_definite, random_skewed_form
+from helpers import random_element, random_positive_definite, random_skewed_form, within
 
 WIDE = QuadraticForm(1, 2 * 10**7, 10**14 + 1)  # one translation by 10^7
 
@@ -199,37 +198,25 @@ def test_word_is_the_witness_normal_form(f):
 
 
 def test_wide_translation_word():
-    t0 = time.perf_counter()
-    result = reduce_form(WIDE)
-    elapsed = time.perf_counter() - t0
+    result = within(1.0, lambda: reduce_form(WIDE))
     assert result.reduced == QuadraticForm(1, 0, 1)
     assert result.witness == GroupElement(1, 10**7, 0, 1)
     assert result.steps == 1
     assert result.word == "TU" * 10**7
-    assert elapsed < 1.0
 
 
 def test_equivalent_wide_builds_no_word():
-    t0 = time.perf_counter()
-    g = equivalent(WIDE, QuadraticForm(1, 0, 1))
-    elapsed = time.perf_counter() - t0
+    g = within(1.0, lambda: equivalent(WIDE, QuadraticForm(1, 0, 1)))
     assert act_on_form(g, QuadraticForm(1, 0, 1)) == WIDE
-    assert elapsed < 1.0
 
 
 def test_word_bound_refuses_huge_translation():
     huge = QuadraticForm(1, 2 * 10**300, 10**600 + 1)  # one translation by 10^300
-    t0 = time.perf_counter()
     with pytest.raises(ValueError) as err:
-        reduce_form(huge)
-    elapsed = time.perf_counter() - t0
+        within(0.01, lambda: reduce_form(huge))
     assert str(err.value) == f"word of {2 * 10**300} letters exceeds the word bound 10^8"
-    assert elapsed < 0.01
-    t0 = time.perf_counter()
-    g = equivalent(huge, QuadraticForm(1, 0, 1))
-    elapsed = time.perf_counter() - t0
+    g = within(0.01, lambda: equivalent(huge, QuadraticForm(1, 0, 1)))
     assert act_on_form(g, QuadraticForm(1, 0, 1)) == huge
-    assert elapsed < 0.01
 
 
 def test_reduction_is_idempotent_on_classes():

@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 
 import pytest
 
@@ -17,7 +16,7 @@ from bqf import (
 from bqf import residues
 from bqf.residues import sqrt_mod_prime
 
-from helpers import within_a_second
+from helpers import within
 
 
 def sieve_odd_primes(limit):
@@ -214,10 +213,8 @@ def test_prime_bound_refuses_before_any_test():
         (lambda: quadratic_residues(p), r"^p = \d+ exceeds the residue-set bound 10\^6$"),
     ]
     for call, message in calls:
-        start = time.perf_counter()
         with pytest.raises(ValueError, match=message):
-            call()
-        assert time.perf_counter() - start < 0.01
+            within(0.01, call)
     assert residues.MAX_PRIME_BITS == 4096
     with pytest.raises(ValueError, match="is not an odd prime$"):
         legendre(3, 2**4096 - 1)  # divisible by 3
@@ -401,5 +398,5 @@ def test_sqrt_mod_prime_ends_when_p_is_no_odd_prime():
                     assert r is None or r * r % p == n % p, (n, p)
         return raised
 
-    raised = within_a_second(sweep)
+    raised = within(1.0, sweep)
     assert {2, 9, 21, 25, 45} <= raised
