@@ -2,13 +2,15 @@
 
 A reduced [a, b, c] of discriminant delta has 3a^2 <= |delta| and b^2 = delta
 (mod 4a): O(sqrt|delta|) values of a with a few b each, not the ~|delta|/6 cells
-of the (a, b) box. One table holds, for every a, the x in [0, 2a) with
-x^2 = delta (mod 4a); each has delta's parity, and b = x (mod 2a). An a = q n,
-q the power of its least prime (from the one prime table
-residues.smallest_prime_factors()) and n > 1 odd, joins the roots for n and q,
-both found before a, by one CRT; a prime power lifts the roots for q / p, and
-only a prime not dividing delta takes Tonelli-Shanks. Counts build no form.
-|delta| is capped at MAX_ABS_DELTA; above it the functions raise ValueError.
+of the (a, b) box. One list holds, for every a, the x in [0, 2a) with
+x^2 = delta (mod 4a); each has delta's parity, and b = x (mod 2a). Each a has a
+recipe, read off the one prime table residues.smallest_prime_factors(): a = q n,
+q the power of its least prime p. An n > 1 joins the roots for n and q, both
+found before a, by one CRT with e = n (n^-1 mod q); an n = 1 lifts the roots for
+e = q / p, and a prime a > 2 (e = 1) not dividing delta takes Tonelli-Shanks.
+The recipes do not depend on delta: they are kept for the process, and built
+again only for a larger a than any before. Counts build no form. |delta| is
+capped at MAX_ABS_DELTA; above it the functions raise ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +28,30 @@ __all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
 MAX_ABS_DELTA = 10**10
 # QuadraticForm and Value define no __new__; the namedtuple's only calls tuple.__new__
 _form = functools.partial(tuple.__new__, QuadraticForm)
+_recipes = ((),) * 3  # the last table _recipe_table built
+
+
+def _recipe_table(amax: int):
+    """Columns n, q, e of the recipe of each a <= amax (see above), built on first
+    need and kept; a table is bound only once whole, so no call reads half of one."""
+    global _recipes
+    if len((table := _recipes)[0]) > amax:
+        return table
+    from array import array  # here, not at import, which stays as fast as before
+
+    spf, size = smallest_prime_factors(), amax + 1  # amax <= isqrt(MAX_ABS_DELTA // 3) < 2^16
+    qs = array("H", range(size))  # q = a for a prime a
+    qs[0] = 1  # so that a // q below is defined at a = 0
+    for p in range(isqrt(amax), 1, -1):  # downwards, so the least prime writes last
+        if not spf[p]:
+            q = p
+            while q < size:  # upwards, so the highest power of p writes last
+                qs[q::q] = array("H", [q]) * len(range(q, size, q))
+                q *= p
+    ns = array("H", [a // q for a, q in enumerate(qs)])
+    es = array("H", [n * pow(n, -1, q) if n > 1 else q // (spf[q] or q) for n, q in zip(ns, qs)])
+    _recipes = table = (ns, qs, es)
+    return table
 
 
 def validate_discriminant(delta: int) -> None:
@@ -42,27 +68,23 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
     if -delta > MAX_ABS_DELTA:
         raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound "
                          f"{_bound_text(MAX_ABS_DELTA)}")
-    spf = smallest_prime_factors()  # a <= isqrt(MAX_ABS_DELTA // 3) < 2^16
-    roots = {1: [delta & 1]}  # a -> the x in [0, 2a) with x^2 = delta (mod 4a)
+    ns, qs, es = _recipe_table(amax := isqrt(-delta // 3))
+    roots = [(), [delta & 1]]  # roots[a]: the x in [0, 2a) with x^2 = delta (mod 4a)
     out = []
-    for a in range(1, isqrt(-delta // 3) + 1):
-        if a > 1:  # a = q n, q the power of its least prime p, n odd; n and q / p are done
-            p = q = spf[a] or a
-            while a % (q * p) == 0:
-                q *= p
-            n = a // q
-            if n > 1:  # the CRT: x = r (mod 2n), x = s (mod 2q), r = s = delta (mod 2)
-                if (rn := roots[n]) and (rq := roots[q]):
-                    e = n * pow(n, -1, q)
-                    roots[a] = [(r + (s - r) * e) % (2 * a) for r in rn for s in rq]
+    for a in range(1, amax + 1):
+        if a > 1:  # a = q n as its recipe says; n and q / p are done
+            if (n := ns[a]) > 1:  # the CRT: x = r (mod 2n), x = s (mod 2q), r = s = delta (mod 2)
+                if (rn := roots[n]) and (rq := roots[qs[a]]):
+                    e = es[a]
+                    roots.append([(r + (s - r) * e) % (2 * a) for r in rn for s in rq])
                 else:
-                    roots[a] = ()
-            elif q == p > 2 and delta % p:  # simple: x = +-sqrt(delta) (mod p), delta's parity
-                r = sqrt_mod_prime(delta, p)
-                roots[a] = () if r is None else [x + p * ((x ^ delta) & 1) for x in (r, p - r)]
-            else:  # each root mod 2q / p, at its p lifts mod 2q, tested mod 4q
-                roots[a] = [x for y in roots[q // p] for x in range(y, 2 * q, 2 * q // p)
-                            if (x * x - delta) % (4 * q) == 0]
+                    roots.append(())
+            elif (m := es[a]) == 1 and a > 2 and delta % a:  # simple: x = +-sqrt(delta) (mod a)
+                r = sqrt_mod_prime(delta, a)
+                roots.append(() if r is None else [x + a * ((x ^ delta) & 1) for x in (r, a - r)])
+            else:  # each root mod 2q / p = 2m, at its p lifts mod 2q, tested mod 4q
+                roots.append([x for y in roots[m] for x in range(y, 2 * a, 2 * m)
+                              if (x * x - delta) % (4 * a) == 0])
         if not (xs := roots[a]):
             continue
         bs = sorted([x if x <= a else x - 2 * a for x in xs])  # x = b (mod 2a)

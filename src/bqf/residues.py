@@ -107,24 +107,32 @@ def legendre(value: int, p: int) -> int:
     return _jacobi(value, p)
 
 
+# bounded, above the 3257 primes p = 1 (mod 4) below 2^16, which hold all enumeration asks for
+@functools.lru_cache(maxsize=4096)
+def _tonelli_constants(p: int) -> tuple[int, int, int]:
+    """(s, q, z^q mod p) for p - 1 = q 2^s, q odd, and z the least with (z/p) = -1."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q, z = (p - 1) >> s, 2
+    while _jacobi(z, p) != -1:
+        z += 1
+    return s, q, pow(z, q, p)
+
+
 def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None for a non-residue.
 
-    Tonelli-Shanks, in one power when p = 3 (mod 4); both detect a
-    non-residue themselves. p is not tested: a composite p may give a wrong None,
-    or ValueError where the method cannot go on, but every call ends.
+    Tonelli-Shanks, with its constants for p cached, in one power when p = 3 (mod 4);
+    both detect a non-residue themselves. p is not tested: a composite p may give a
+    wrong None, or ValueError where the method cannot go on, but every call ends.
     """
     n %= p
     if p % 4 == 3 or n == 0:  # for n = 0, t = 0 below would never reach 1
         r = pow(n, (p + 1) // 4, p)
         return r if r * r % p == n else None
-    if p % 2 == 0 or math.isqrt(p) ** 2 == p:  # no z below has (z/p) = -1
+    if p % 2 == 0 or math.isqrt(p) ** 2 == p:  # no z has (z/p) = -1: no end to its search
         raise ValueError(f"{p} is not an odd prime")
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
-    q, z = (p - 1) >> s, 2
-    while _jacobi(z, p) != -1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    s, q, c = _tonelli_constants(p)
+    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:

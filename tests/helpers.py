@@ -2,7 +2,6 @@
 
 import math
 import signal
-import sys
 import time
 from pathlib import Path
 
@@ -51,9 +50,12 @@ class Overtime(Exception):
 
 def within(seconds, fn):
     """fn(), failing when its value or exception comes `seconds` or more after the call;
-    an alarm raises Overtime in a call that would never return."""
+    an alarm raises Overtime in a call that would never return. The alarm notes that it
+    fired, so an Overtime that Python drops (raised inside a gc callback, say) still fails."""
+    fired = []
 
     def timeout(signum, frame):
+        fired.append(signum)
         raise Overtime(f"no return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
@@ -64,5 +66,6 @@ def within(seconds, fn):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-        if not isinstance(sys.exc_info()[1], Overtime):  # the alarm's own fails already
-            assert time.perf_counter() - start < seconds, f"no outcome within {seconds} s"
+        if fired:
+            raise Overtime(f"no return within {seconds} s")
+        assert time.perf_counter() - start < seconds, f"no outcome within {seconds} s"

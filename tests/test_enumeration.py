@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,9 +321,66 @@ def test_prime_table_matches_trial_division():
     assert math.isqrt(enumeration.MAX_ABS_DELTA // 3) < len(spf)
 
 
+def fresh_python(code, *argv):
+    """stdout of a fresh interpreter that runs code on argv, bounded by helpers.within."""
+    cmd = [sys.executable, "-c", code, *map(str, argv)]
+    proc = within(10.0, lambda: subprocess.run(cmd, capture_output=True, text=True))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_prime_table_is_built_on_first_use():
-    probe = "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info())"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    # nor the recipe table and the Tonelli-Shanks constants: import stays as fast as before
+    out = fresh_python(
+        "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info(),"
+        " bqf.residues._tonelli_constants.cache_info(), len(bqf.enumeration._recipes[0]))"
     )
-    assert "currsize=0" in proc.stdout, proc.stderr
+    assert out.count("currsize=0") == 2 and out.split()[-1] == "0", out
+
+
+def test_recipe_table_growth_order_gives_the_same_forms():
+    # the largest table first, or grown one delta at a time: the same triples either way
+    deltas = sorted([-(10**10), -(10**10) + 1, -400000003, -99999, -23, -4, -3])
+    code = (
+        "import hashlib, sys; from bqf.enumeration import _candidates\n"
+        "deltas = [int(d) for d in sys.argv[1:]]\n"
+        "got = {d: _candidates(d, True, False) for d in deltas}\n"
+        "print(hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest())"
+    )
+    assert fresh_python(code, *deltas) == fresh_python(code, *deltas[::-1])
+
+
+def test_threads_share_the_recipe_table(monkeypatch):
+    # more threads than cores start together on an empty table, with a short switch
+    # interval, so one builds the table while the others read it; each round must
+    # match one thread's answers
+    deltas = [-(4 * 10**8) - 3, -(4 * 10**4), -(4 * 10**6) - 3, -(4 * 10**2)]
+    expected = [enumeration._candidates(d, True, False) for d in deltas]
+    start = threading.Barrier(len(deltas))
+    got, errors = [None] * len(deltas), []
+
+    def work(i):
+        try:
+            start.wait(timeout=10)
+            got[i] = enumeration._candidates(deltas[i], True, False)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def rounds():
+        for _ in range(50):
+            monkeypatch.setattr(enumeration, "_recipes", ((),) * 3)
+            got[:] = [None] * len(deltas)
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(deltas))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and not errors, errors
+            assert got == expected
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        within(10.0, rounds)
+    finally:
+        sys.setswitchinterval(interval)

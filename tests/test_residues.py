@@ -314,6 +314,7 @@ def test_scaled_representation_oracle_examples():
     assert scaled_representation_oracle(1, 37, 10) == (1, 0)
     assert scaled_representation_oracle(38, 37, 10) == (1, 1)
     assert scaled_representation_oracle(-1, 37, 100) is None
+    assert scaled_representation_oracle(0, 37, 10) == (0, 0)
 
 
 def test_scaled_representation_oracle_bounds():
