@@ -330,12 +330,30 @@ def fresh_python(code, *argv):
 
 
 def test_prime_table_is_built_on_first_use():
-    # nor the recipe table and the Tonelli-Shanks constants: import stays as fast as before
+    # nor the recipe table, the Tonelli-Shanks constants and the root tables: import
+    # stays as fast as before
     out = fresh_python(
         "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info(),"
-        " bqf.residues._tonelli_constants.cache_info(), len(bqf.enumeration._recipes[0]))"
+        " bqf.residues._tonelli_constants.cache_info(), len(bqf.enumeration._recipes[0]),"
+        " any(bqf.enumeration._small_roots))"
     )
-    assert out.count("currsize=0") == 2 and out.split()[-1] == "0", out
+    assert out.count("currsize=0") == 2 and out.split()[-2:] == ["0", "False"], out
+
+
+def test_root_tables_hold_the_least_root():
+    # every odd prime p < 2^9 and x in [1, p): the least r with r^2 = x (mod p), 0 for none
+    def check():
+        spf = smallest_prime_factors()
+        for p in range(3, len(enumeration._small_roots), 2):
+            if spf[p]:
+                continue
+            table = enumeration._small_roots[p] or enumeration._root_table(p)
+            least = [0] * p
+            for r in range(p - 1, 0, -1):  # downwards: the least root writes last
+                least[r * r % p] = r
+            assert len(table) == p and list(table[1:]) == least[1:], p
+
+    within(1.0, check)
 
 
 def test_recipe_table_growth_order_gives_the_same_forms():
@@ -351,9 +369,9 @@ def test_recipe_table_growth_order_gives_the_same_forms():
 
 
 def test_threads_share_the_recipe_table(monkeypatch):
-    # more threads than cores start together on an empty table, with a short switch
-    # interval, so one builds the table while the others read it; each round must
-    # match one thread's answers
+    # more threads than cores start together on empty recipe and root tables, with a
+    # short switch interval, so one builds a table while the others read or build it;
+    # each round must match one thread's answers
     deltas = [-(4 * 10**8) - 3, -(4 * 10**4), -(4 * 10**6) - 3, -(4 * 10**2)]
     expected = [enumeration._candidates(d, True, False) for d in deltas]
     start = threading.Barrier(len(deltas))
@@ -369,6 +387,7 @@ def test_threads_share_the_recipe_table(monkeypatch):
     def rounds():
         for _ in range(50):
             monkeypatch.setattr(enumeration, "_recipes", ((),) * 3)
+            monkeypatch.setattr(enumeration, "_small_roots", [b""] * len(enumeration._small_roots))
             got[:] = [None] * len(deltas)
             threads = [threading.Thread(target=work, args=(i,)) for i in range(len(deltas))]
             for t in threads:

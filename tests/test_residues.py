@@ -221,9 +221,10 @@ def test_prime_bound_refuses_before_any_test():
 
 
 def test_small_prime_legendre_is_the_jacobi_symbol():
-    # below 2^16 legendre answers by one pow; the Jacobi loop is the reference
+    # below 2^16 legendre answers by one pow; the Jacobi loop is the reference, also for
+    # the first and last primes past the one prime table
     rng = random.Random(0xB3)
-    for p in sieve_odd_primes(1 << 16):
+    for p in [*sieve_odd_primes(1 << 16), 65537, 131071]:
         for v in (0, 1, -1, p - 1, 3 * p, -rng.randrange(1, 10**7), rng.randrange(10**12)):
             assert legendre(v, p) == residues._jacobi(v, p), (v, p)
 
