@@ -8,11 +8,11 @@ recipe, read off the one prime table residues.smallest_prime_factors(): a = q n,
 q the power of its least prime p. An n > 1 joins the roots for n and q, both
 found before a, by one CRT with e = n (n^-1 mod q); an n = 1 lifts the roots for
 e = q / p. A prime a > 2 (e = 1) not dividing delta reads its least root off a
-byte table of a entries when a < 2^9 (all 96 hold 22.5 KB and build in ~0.7 ms),
-and takes Tonelli-Shanks from 2^9 up. Recipes and byte tables do not depend on
-delta: each is built on first need and kept for the process, the recipes again
-only for a larger a than any before. Counts build no form. |delta| is capped at
-MAX_ABS_DELTA; above it the functions raise ValueError.
+byte row of a entries when a < 2^9 (all 96 hold 22.5 KB and build in ~0.7 ms),
+and takes Tonelli-Shanks from 2^9 up. One table, independent of delta, holds the
+recipes and the rows: built on first need and kept, built again for a larger a than
+any before with its rows kept, and bound by one assignment. Counts build no form.
+|delta| is capped at MAX_ABS_DELTA; above it the functions raise ValueError.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ __all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
 MAX_ABS_DELTA = 10**10
 # QuadraticForm and Value define no __new__; the namedtuple's only calls tuple.__new__
 _form = functools.partial(tuple.__new__, QuadraticForm)
-_recipes = ((),) * 3  # the last table _recipe_table built
-_small_roots = [b""] * (1 << 9)  # [p][x]: the least root of x mod an odd prime p < 2^9, 0 for none
+_recipes = ((),) * 4  # the last table _recipe_table built
 
 
 def _recipe_table(amax: int):
-    """Columns n, q, e of the recipe of each a <= amax (see above), built on first
-    need and kept; a table is bound only once whole, so no call reads half of one."""
+    """Columns n, q, e of each a <= amax's recipe (see above) and rows least[p], the least
+    root of each x mod an odd prime p < min(amax + 1, 2^9), 0 for none. A larger amax
+    keeps the rows; one assignment binds the table whole, so no call reads half of one."""
     global _recipes
     if len((table := _recipes)[0]) > amax:
         return table
@@ -53,16 +53,14 @@ def _recipe_table(amax: int):
                 q *= p
     ns = array("H", [a // q for a, q in enumerate(qs)])
     es = array("H", [n * pow(n, -1, q) if n > 1 else q // (spf[q] or q) for n, q in zip(ns, qs)])
-    _recipes = table = (ns, qs, es)
-    return table
-
-
-def _root_table(p: int) -> bytes:
-    """Build _small_roots[p] whole, then bind it: a residue's one root in [1, p/2] is its least."""
-    table = bytearray(p)
-    for r in range(1, p // 2 + 1):
-        table[r * r % p] = r
-    _small_roots[p] = table = bytes(table)
+    least = [*table[3], *[b""] * (min(size, 1 << 9) - len(table[3]))]  # the rows built are kept
+    for p in range(len(table[3]), len(least)):
+        if p > 2 and not spf[p]:  # a residue's one root in [1, p/2] is its least
+            row = bytearray(p)
+            for r in range(1, p // 2 + 1):
+                row[r * r % p] = r
+            least[p] = bytes(row)
+    _recipes = table = (ns, qs, es, least)
     return table
 
 
@@ -80,7 +78,7 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
     if -delta > MAX_ABS_DELTA:
         raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound "
                          f"{_bound_text(MAX_ABS_DELTA)}")
-    ns, qs, es = _recipe_table(amax := isqrt(-delta // 3))
+    ns, qs, es, least = _recipe_table(amax := isqrt(-delta // 3))
     roots = [(), [delta & 1]]  # roots[a]: the x in [0, 2a) with x^2 = delta (mod 4a)
     out = []
     for a in range(1, amax + 1):
@@ -93,7 +91,7 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
                     roots.append(())
             elif (m := es[a]) == 1 and a > 2 and (k := delta % a):  # x = +-sqrt(delta) (mod a)
                 if a < 1 << 9:
-                    r = (_small_roots[a] or _root_table(a))[k] or None
+                    r = least[a][k] or None
                 else:
                     r = sqrt_mod_prime(delta, a)
                 roots.append(() if r is None else [x + a * ((x ^ delta) & 1) for x in (r, a - r)])

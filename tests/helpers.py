@@ -1,7 +1,10 @@
-"""Shared generators for the randomized tests, a time bound and the README's path."""
+"""Shared generators for the randomized tests, a time bound, a fresh interpreter and the
+README's path."""
 
 import math
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -69,3 +72,10 @@ def within(seconds, fn):
         if fired:
             raise Overtime(f"no return within {seconds} s")
         assert time.perf_counter() - start < seconds, f"no outcome within {seconds} s"
+
+
+def python(*args, seconds=10.0):
+    """(returncode, stdout, stderr) of a fresh interpreter run on args, bounded by within."""
+    cmd = [sys.executable, *map(str, args)]
+    proc = within(seconds, lambda: subprocess.run(cmd, capture_output=True, text=True))
+    return proc.returncode, proc.stdout, proc.stderr

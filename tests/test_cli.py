@@ -7,8 +7,6 @@ import math
 import random
 import re
 import shlex
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -21,7 +19,7 @@ from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
 from bqf.qfield import QuadFieldElement, orbit_explore
 
-from helpers import README, Overtime, random_positive_definite, within
+from helpers import README, Overtime, python, random_positive_definite, within
 
 
 def run(argv):
@@ -646,13 +644,8 @@ def test_plot_item_limit_comes_before_a_malformed_item():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bqf", "reduce", "11,49,55"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "reduced: 1,1,5\nword: VTVTVTUTU\nwitness: -3,-7;1,2\nsteps: 3\n"
+    stdout = "reduced: 1,1,5\nword: VTVTVTUTU\nwitness: -3,-7;1,2\nsteps: 3\n"
+    assert python("-m", "bqf", "reduce", "11,49,55") == (0, stdout, "")
 
 
 @pytest.mark.parametrize(
@@ -672,21 +665,15 @@ def test_module_entry_point():
 )
 def test_bqf_process_has_no_digit_limit(argv, stdout):
     # a bqf process lifts CPython's digit limit; argv's own length cap bounds every int
-    proc = subprocess.run([sys.executable, "-m", "bqf", *argv], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+    assert python("-m", "bqf", *argv) == (0, stdout, "")
 
 
 def test_point_form_past_the_prime_bound_is_fast():
     # F = 2^16384 + 1 has no prime factor below 2^16, so the cofactor F^2 of the point
     # F,F,-1 is above MAX_PRIME_BITS: no primality test, and one gcd skips trial division
-    digits = subprocess.run(
-        [sys.executable, "-X", "int_max_str_digits=0", "-c",
-         "f = 2**16384 + 1; print(f, f * f, 2 * f * f, f * f + 1)"],
-        capture_output=True, text=True, check=True,
-    ).stdout
+    code, digits, err = python("-X", "int_max_str_digits=0", "-c",
+                               "f = 2**16384 + 1; print(f, f * f, 2 * f * f, f * f + 1)")
+    assert code == 0, err
     f, a, b, c = digits.split()
-    proc = subprocess.run(
-        [sys.executable, "-m", "bqf", "point-form", f"{f},{f},-1"],
-        capture_output=True, text=True, timeout=20,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"form: {a},{b},{c}\nscale: 1/{c}\n", "")
+    stdout = f"form: {a},{b},{c}\nscale: 1/{c}\n"
+    assert python("-m", "bqf", "point-form", f"{f},{f},-1", seconds=20.0) == (0, stdout, "")

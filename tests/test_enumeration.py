@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import subprocess
 import sys
 import threading
 
@@ -26,7 +25,7 @@ from bqf import enumeration
 from bqf._value import Value
 from bqf.residues import smallest_prime_factors
 
-from helpers import random_positive_definite, within
+from helpers import python, random_positive_definite, within
 
 
 def rectangle_scan(delta, predicate):
@@ -321,37 +320,28 @@ def test_prime_table_matches_trial_division():
     assert math.isqrt(enumeration.MAX_ABS_DELTA // 3) < len(spf)
 
 
-def fresh_python(code, *argv):
-    """stdout of a fresh interpreter that runs code on argv, bounded by helpers.within."""
-    cmd = [sys.executable, "-c", code, *map(str, argv)]
-    proc = within(10.0, lambda: subprocess.run(cmd, capture_output=True, text=True))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_prime_table_is_built_on_first_use():
-    # nor the recipe table, the Tonelli-Shanks constants and the root tables: import
+    # nor the Tonelli-Shanks constants and the recipe table with its root rows: import
     # stays as fast as before
-    out = fresh_python(
-        "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info(),"
-        " bqf.residues._tonelli_constants.cache_info(), len(bqf.enumeration._recipes[0]),"
-        " any(bqf.enumeration._small_roots))"
+    code, out, err = python(
+        "-c", "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info(),"
+        " bqf.residues._tonelli_constants.cache_info(), bqf.enumeration._recipes == ((),) * 4)"
     )
-    assert out.count("currsize=0") == 2 and out.split()[-2:] == ["0", "False"], out
+    assert code == 0 and out.count("currsize=0") == 2 and out.split()[-1] == "True", (out, err)
 
 
 def test_root_tables_hold_the_least_root():
     # every odd prime p < 2^9 and x in [1, p): the least r with r^2 = x (mod p), 0 for none
     def check():
-        spf = smallest_prime_factors()
-        for p in range(3, len(enumeration._small_roots), 2):
+        spf, rows = smallest_prime_factors(), enumeration._recipe_table(1 << 9)[3]
+        assert len(rows) == 1 << 9
+        for p in range(3, 1 << 9, 2):
             if spf[p]:
                 continue
-            table = enumeration._small_roots[p] or enumeration._root_table(p)
             least = [0] * p
             for r in range(p - 1, 0, -1):  # downwards: the least root writes last
                 least[r * r % p] = r
-            assert len(table) == p and list(table[1:]) == least[1:], p
+            assert len(rows[p]) == p and list(rows[p][1:]) == least[1:], p
 
     within(1.0, check)
 
@@ -365,13 +355,15 @@ def test_recipe_table_growth_order_gives_the_same_forms():
         "got = {d: _candidates(d, True, False) for d in deltas}\n"
         "print(hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest())"
     )
-    assert fresh_python(code, *deltas) == fresh_python(code, *deltas[::-1])
+    runs = [python("-c", code, *order) for order in (deltas, deltas[::-1])]
+    assert runs[0] == runs[1] and runs[0][0] == 0, runs
 
 
 def test_threads_share_the_recipe_table(monkeypatch):
-    # more threads than cores start together on empty recipe and root tables, with a
-    # short switch interval, so one builds a table while the others read or build it;
-    # each round must match one thread's answers
+    # more threads than cores start together on an empty table, with a short switch
+    # interval, so one builds the table while the others read or build it; a thread
+    # walks again until every thread has an answer or one has failed, so walks meet
+    # each build, and each round must match one thread's answers
     deltas = [-(4 * 10**8) - 3, -(4 * 10**4), -(4 * 10**6) - 3, -(4 * 10**2)]
     expected = [enumeration._candidates(d, True, False) for d in deltas]
     start = threading.Barrier(len(deltas))
@@ -380,14 +372,14 @@ def test_threads_share_the_recipe_table(monkeypatch):
     def work(i):
         try:
             start.wait(timeout=10)
-            got[i] = enumeration._candidates(deltas[i], True, False)
+            while not errors and got[i] in (None, expected[i]) and None in got:
+                got[i] = enumeration._candidates(deltas[i], True, False)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     def rounds():
-        for _ in range(50):
-            monkeypatch.setattr(enumeration, "_recipes", ((),) * 3)
-            monkeypatch.setattr(enumeration, "_small_roots", [b""] * len(enumeration._small_roots))
+        for _ in range(10):
+            monkeypatch.setattr(enumeration, "_recipes", ((),) * 4)
             got[:] = [None] * len(deltas)
             threads = [threading.Thread(target=work, args=(i,)) for i in range(len(deltas))]
             for t in threads:

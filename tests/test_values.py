@@ -3,8 +3,6 @@ coefficients, equal to and ordered against only values of their own class."""
 
 import operator
 import pickle
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +18,8 @@ from bqf import (
     reduce_form,
     same_orbit_form_check,
 )
+
+from helpers import python
 
 # (value, its fields, its repr)
 VALUES = [
@@ -219,5 +219,4 @@ def test_import_leaves_dataclasses_out():
         "sys.stdout = io.StringIO(); assert bqf.cli.main(['reduce', '11,49,55']) == 0; "
         "assert not [m for m in lazy if m in sys.modules] and 'argparse' in sys.modules"
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert python("-I", "-c", code) == (0, "", "")
