@@ -34,7 +34,7 @@ def random_element(rng, length=20):
 def random_skewed_form(rng, max_coeff=10**6):
     # walk a small form away from reduced shape while staying under the cap;
     # exercises long reduction chains that uniform sampling rarely hits
-    from bqf import act_on_form, generator_element
+    from bqf import act_on_form
 
     form = random_positive_definite(rng, max_coeff=40)
     while True:

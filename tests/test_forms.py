@@ -1,28 +1,13 @@
 """Coefficient-level behaviour of integral binary quadratic forms."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from bqf import QuadraticForm
 
 from helpers import random_positive_definite
-
-
-def test_parse_round_trip():
-    f = QuadraticForm.parse("11,49,55")
-    assert f == QuadraticForm(11, 49, 55)
-    assert str(f) == "11,49,55"
-    assert QuadraticForm.parse(" 2 , -1 , 3 ") == QuadraticForm(2, -1, 3)
-    assert QuadraticForm.parse("+11,049,55") == QuadraticForm(11, 49, 55)  # as int() reads them
-
-
-@pytest.mark.parametrize("text", ["", "1,2", "1,2,3,4", "1,x,3", "1;2;3"])
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        QuadraticForm.parse(text)
 
 
 def test_discriminant_examples():
@@ -65,15 +50,6 @@ def test_content_of_zero_form_rejected():
         QuadraticForm(0, 0, 0).content()
 
 
-def test_positive_definite():
-    assert QuadraticForm(1, 0, 1).is_positive_definite()
-    assert QuadraticForm(2, -1, 3).is_positive_definite()
-    assert not QuadraticForm(1, 3, 1).is_positive_definite()  # disc 5 > 0
-    assert not QuadraticForm(-1, 0, -1).is_positive_definite()
-    assert not QuadraticForm(0, 0, 1).is_positive_definite()
-    assert not QuadraticForm(1, 2, 1).is_positive_definite()  # disc 0
-
-
 def test_positive_definite_means_positive_values():
     rng = random.Random(0xF1)
     for _ in range(200):
@@ -85,42 +61,11 @@ def test_positive_definite_means_positive_values():
                 assert f.evaluate(x, y) > 0
 
 
-def test_almost_reduced_and_reduced():
-    assert QuadraticForm(2, 1, 3).is_reduced()
-    assert QuadraticForm(2, -1, 3).is_reduced()
-    assert QuadraticForm(1, 1, 1).is_reduced()
-    assert QuadraticForm(3, 3, 5).is_reduced()
-    # border cases: reduced forbids b = -a and a = c with b < 0
-    assert QuadraticForm(3, -3, 5).is_almost_reduced()
-    assert not QuadraticForm(3, -3, 5).is_reduced()
-    assert QuadraticForm(2, -1, 2).is_almost_reduced()
-    assert not QuadraticForm(2, -1, 2).is_reduced()
-    assert QuadraticForm(2, 1, 2).is_reduced()
-    # |b| <= a <= c fails
-    assert not QuadraticForm(3, 4, 5).is_almost_reduced()
-    assert not QuadraticForm(5, 1, 3).is_almost_reduced()
-    assert not QuadraticForm(1, 3, 1).is_almost_reduced()
-
-
-def test_reduced_implies_almost_reduced():
-    rng = random.Random(0xF2)
-    for _ in range(500):
-        f = QuadraticForm(*(rng.randint(-9, 9) for _ in range(3)))
-        if f.is_reduced():
-            assert f.is_almost_reduced()
-
-
 def test_mirror():
     assert QuadraticForm(2, 1, 3).mirror() == QuadraticForm(2, -1, 3)
     f = QuadraticForm(11, 49, 55)
     assert f.mirror().mirror() == f
     assert f.mirror().discriminant() == f.discriminant()
-
-
-def test_ordering_and_hash():
-    forms = {QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 1), QuadraticForm(1, 1, 1)}
-    assert len(forms) == 2
-    assert QuadraticForm(1, 0, 1) < QuadraticForm(1, 1, 1) < QuadraticForm(2, -1, 3)
 
 
 def _chained_positive_definite(f):
@@ -141,15 +86,12 @@ def _chained_reduced(f):
     return True
 
 
-@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
-@example(0, 0, 0)
-@example(2, -2, 3)
-@example(2, -1, 2)
-@example(1, 2, 1)
-def test_predicates_match_the_chained_definitions(a, b, c):
-    # the reference is the predicates' earlier definition as a chain:
+def test_predicates_match_the_chained_definitions():
+    # every form with coefficients in [-9, 9]; the reference is the predicates'
+    # earlier definition as a chain:
     # is_reduced -> is_almost_reduced -> is_positive_definite -> discriminant
-    f = QuadraticForm(a, b, c)
-    assert f.is_positive_definite() is _chained_positive_definite(f)
-    assert f.is_almost_reduced() is _chained_almost_reduced(f)
-    assert f.is_reduced() is _chained_reduced(f)
+    for a, b, c in itertools.product(range(-9, 10), repeat=3):
+        f = QuadraticForm(a, b, c)
+        assert f.is_positive_definite() is _chained_positive_definite(f), f
+        assert f.is_almost_reduced() is _chained_almost_reduced(f), f
+        assert f.is_reduced() is _chained_reduced(f), f

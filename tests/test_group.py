@@ -67,32 +67,9 @@ def test_constants():
     assert as_tuple(U) == (0, -1, 1, 1)
     assert as_tuple(V) == (-1, -1, 1, 0)
     assert as_tuple(R) == (-1, 0, 0, 1)  # sign flipped to the canonical side
+    assert as_tuple(IDENTITY) == (1, 0, 0, 1)
     assert T.det == U.det == V.det == 1
     assert R.det == -1
-
-
-def test_sign_canonicalization():
-    assert GroupElement(-1, 0, 0, -1) == IDENTITY
-    assert GroupElement(0, 1, -1, 0) == T
-    assert str(GroupElement(0, 1, -1, 0)) == "0,-1;1,0"
-    assert GroupElement(1, 0, 0, -1) == GroupElement(-1, 0, 0, 1)
-
-
-def test_rejects_wrong_determinant():
-    with pytest.raises(ValueError):
-        GroupElement(1, 0, 0, 2)
-    with pytest.raises(ValueError):
-        GroupElement(0, 0, 0, 0)
-
-
-def test_parse_round_trip():
-    g = GroupElement.parse("-3,-7;1,2")
-    assert as_tuple(g) == (-3, -7, 1, 2)
-    assert str(g) == "-3,-7;1,2"
-    with pytest.raises(ValueError):
-        GroupElement.parse("1,0,0,1")
-    with pytest.raises(ValueError):
-        GroupElement.parse("1;2;3")
 
 
 def test_generator_element():

@@ -3,6 +3,7 @@ coefficients, equal to and ordered against only values of their own class."""
 
 import operator
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,40 @@ STRINGS = {
     "QuadFieldElement": "1/2/5",
 }
 ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
+# (kind, constructor arguments, the fields it stores): the sign rules of the
+# two projective kinds and the square factors a point keeps out of D
+BUILT = [
+    (GroupElement, (-1, 0, 0, -1), (1, 0, 0, 1)),
+    (GroupElement, (0, 1, -1, 0), (0, -1, 1, 0)),
+    (GroupElement, (1, 0, 0, -1), (-1, 0, 0, 1)),
+    (AlgebraicPoint, (2, 4, -16), (1, 2, -4)),
+    (AlgebraicPoint, (0, 2, -4), (0, 1, -1)),
+    (AlgebraicPoint, (6, 4, -20), (3, 2, -5)),
+    # only square factors compatible with gcd(p, q) come out of D
+    (AlgebraicPoint, (-6, 12, -12), (-3, 6, -3)),
+    (AlgebraicPoint, (2, 2, -36), (1, 1, -9)),
+    (QuadFieldElement, (1, -2, 5), (-1, 2, 5)),
+    (QuadFieldElement, (-3, -2, 5), (3, 2, 5)),
+]
+DETERMINANT = "matrix must have determinant +1 or -1"
+# (kind, constructor arguments, the exact refusal)
+REFUSED = [
+    (GroupElement, (1, 0, 0, 2), DETERMINANT),
+    (GroupElement, (0, 0, 0, 0), DETERMINANT),
+    (AlgebraicPoint, (1, 0, -1), "denominator q must be positive"),
+    (AlgebraicPoint, (1, -2, -1), "denominator q must be positive"),
+    (AlgebraicPoint, (1, 2, 5), "radicand D must be negative"),
+    (AlgebraicPoint, (1, 2, 0), "radicand D must be negative"),
+    (QuadFieldElement, (1, 4, 5), "c must divide a^2 + n"),
+    (QuadFieldElement, (1, 0, 5), "denominator c must be nonzero"),
+    # c = 1 divides a^2 + n, so only the n rule refuses these two
+    (QuadFieldElement, (0, 1, 0), "n must be a positive integer"),
+    (QuadFieldElement, (1, 1, -5), "n must be a positive integer"),
+]
+
+
+def call_ids(rows):
+    return [f"{kind.__name__}({','.join(map(str, args))})" for kind, args, _ in rows]
 
 
 @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
@@ -107,6 +142,20 @@ def test_no_tuple_arithmetic(value, fields, text):
             combine()
 
 
+@pytest.mark.parametrize("kind, args, fields", BUILT, ids=call_ids(BUILT))
+def test_construction_stores_the_normal_fields(kind, args, fields):
+    value, normal = kind(*args), kind(*fields)
+    assert tuple(value) == fields
+    assert value == normal and hash(value) == hash(normal)
+
+
+@pytest.mark.parametrize("kind, args, message", REFUSED, ids=call_ids(REFUSED))
+def test_construction_refusal_names_the_rule(kind, args, message):
+    with pytest.raises(ValueError) as caught:
+        kind(*args)
+    assert str(caught.value) == message
+
+
 def test_plain_tuple_on_the_left_concatenates():
     # tuple's own + runs before any method of the right operand
     joined = (1, 0) + QuadraticForm(1, 0, 1)
@@ -130,6 +179,7 @@ def test_records_have_no_parse(kind):
     ids=IDS[:4],
 )
 def test_sorted_within_a_kind_is_by_fields(values):
+    assert len(set(values)) == len(values)  # distinct fields, distinct values
     ordered = sorted(values)
     assert ordered == sorted(values, key=tuple)
     assert all(x < y or x == y for x, y in zip(ordered, ordered[1:]))
@@ -137,8 +187,26 @@ def test_sorted_within_a_kind_is_by_fields(values):
 
 
 @pytest.mark.parametrize(
+    "kind, text, shown",
+    [
+        # spaces around an int, a sign + and leading zeros, as int() reads them
+        (QuadraticForm, " 2 , -1 , 3 ", "2,-1,3"),
+        (QuadraticForm, "+11,049,55", "11,49,55"),
+        # the projective kinds print the sign they keep
+        (GroupElement, "0,1;-1,0", "0,-1;1,0"),
+        (QuadFieldElement, "3/-2/5", "-3/2/5"),
+    ],
+)
+def test_parse_accepts_and_normalizes(kind, text, shown):
+    value = kind.parse(text)
+    assert type(value) is kind and str(value) == shown and kind.parse(shown) == value
+
+
+@pytest.mark.parametrize(
     "kind, text, message",
     [
+        (QuadraticForm, "", "expected 'a,b,c', got ''"),
+        (QuadraticForm, "1;2;3", "expected 'a,b,c', got '1;2;3'"),
         (QuadraticForm, "1,2", "expected 'a,b,c', got '1,2'"),
         (QuadraticForm, "1,2,3,4", "expected 'a,b,c', got '1,2,3,4'"),
         (QuadraticForm, "1/2/3", "expected 'a,b,c', got '1/2/3'"),
@@ -146,10 +214,12 @@ def test_sorted_within_a_kind_is_by_fields(values):
         (GroupElement, "1,0,0,1", "expected 'r,s;t,u', got '1,0,0,1'"),
         (GroupElement, "1;2,3,4", "expected 'r,s;t,u', got '1;2,3,4'"),
         (GroupElement, "1,2;3;4", "expected 'r,s;t,u', got '1,2;3;4'"),
+        (GroupElement, "1;2;3", "expected 'r,s;t,u', got '1;2;3'"),
         (AlgebraicPoint, "1,2", "expected 'p,q,D', got '1,2'"),
         (AlgebraicPoint, "1;2;-5", "expected 'p,q,D', got '1;2;-5'"),
         (QuadFieldElement, "1/2/5/7", "expected 'a/c/n', got '1/2/5/7'"),
         (QuadFieldElement, "1,2,5", "expected 'a/c/n', got '1,2,5'"),
+        (QuadFieldElement, "1/2", "expected 'a/c/n', got '1/2'"),
         (QuadraticForm, "1,1,x", "expected 'a,b,c', got '1,1,x'"),
         (GroupElement, "1,0;0,x", "expected 'r,s;t,u', got '1,0;0,x'"),
         # int() reads "_" between digits and non-ASCII digits; str() writes neither
@@ -162,6 +232,7 @@ def test_sorted_within_a_kind_is_by_fields(values):
         (QuadraticForm, "1,1,5\n", "expected 'a,b,c', got '1,1,5\\n'"),
         (QuadraticForm, "1,\r1,5", "expected 'a,b,c', got '1,\\r1,5'"),
         (AlgebraicPoint, "1,0,-3", "denominator q must be positive"),
+        (AlgebraicPoint, "1,2,5", "radicand D must be negative"),
     ],
 )
 def test_parse_error_names_the_text_form(kind, text, message):
@@ -176,6 +247,7 @@ def test_equal_only_to_own_class():
     assert form != element and element != form and not form == element
     assert len({form, element}) == 2
     assert QuadraticForm(0, 1, -1) != AlgebraicPoint(0, 1, -1)
+    assert AlgebraicPoint(0, 1, -1) != "0,1,-1"
     assert GroupElement(1, 0, 0, 1) != (1, 0, 0, 1)
 
 
@@ -195,15 +267,15 @@ def test_make_and_replace_normalize_or_raise():
     assert type(QuadraticForm._make([1, 2, 3])) is QuadraticForm
     assert GroupElement._make([3, 7, -1, -2]) == GroupElement(-3, -7, 1, 2)
     assert GroupElement(1, 0, 0, 1)._replace(s=5, u=-1) == GroupElement(-1, -5, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(DETERMINANT)}$"):
         GroupElement(1, 0, 0, 1)._replace(r=2)
     assert AlgebraicPoint(1, 2, -1)._replace(p=2, q=4, D=-4) == AlgebraicPoint(1, 2, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radicand D must be negative$"):
         AlgebraicPoint(1, 2, -1)._replace(D=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^denominator q must be positive$"):
         AlgebraicPoint._make([1, 0, -1])
     assert QuadFieldElement(1, 2, 5)._replace(c=-2) == QuadFieldElement(-1, 2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c must divide a\^2 \+ n$"):
         QuadFieldElement(1, 2, 5)._replace(c=4)
 
 
