@@ -10,6 +10,13 @@ from bqf import QuadraticForm
 from helpers import random_positive_definite
 
 
+@pytest.mark.parametrize("text", ["", "1,2", "1,2,3,4", "1,x,3", "1;2;3"])
+def test_parse_rejects_malformed(text):
+    with pytest.raises(ValueError) as refusal:
+        QuadraticForm.parse(text)
+    assert str(refusal.value) == f"expected 'a,b,c', got {text!r}"
+
+
 def test_discriminant_examples():
     assert QuadraticForm(1, 0, 1).discriminant() == -4
     assert QuadraticForm(1, 1, 1).discriminant() == -3
@@ -50,6 +57,13 @@ def test_content_of_zero_form_rejected():
         QuadraticForm(0, 0, 0).content()
 
 
+def test_positive_definite():
+    # disc -4 and -23 hold; disc 5, a < 0, a = 0 and disc 0 do not
+    texts = ("1,0,1", "2,-1,3", "1,3,1", "-1,0,-1", "0,0,1", "1,2,1")
+    flags = [QuadraticForm.parse(t).is_positive_definite() for t in texts]
+    assert flags == [True, True, False, False, False, False]
+
+
 def test_positive_definite_means_positive_values():
     rng = random.Random(0xF1)
     for _ in range(200):
@@ -61,11 +75,30 @@ def test_positive_definite_means_positive_values():
                 assert f.evaluate(x, y) > 0
 
 
+def test_almost_reduced_and_reduced():
+    # (almost reduced, reduced): reduced forbids b = -a, and a = c with b < 0;
+    # the last three fail |b| <= a <= c
+    texts = ("2,1,3", "2,-1,3", "1,1,1", "3,3,5", "2,1,2", "3,-3,5", "2,-1,2", "3,4,5", "5,1,3", "1,3,1")
+    flags = [(f.is_almost_reduced(), f.is_reduced()) for f in map(QuadraticForm.parse, texts)]
+    assert flags == [(True, True)] * 5 + [(True, False)] * 2 + [(False, False)] * 3
+
+
+def test_reduced_implies_almost_reduced():
+    for coefficients in itertools.product(range(-9, 10), repeat=3):
+        f = QuadraticForm(*coefficients)
+        assert f.is_almost_reduced() or not f.is_reduced(), f
+
+
 def test_mirror():
     assert QuadraticForm(2, 1, 3).mirror() == QuadraticForm(2, -1, 3)
     f = QuadraticForm(11, 49, 55)
     assert f.mirror().mirror() == f
     assert f.mirror().discriminant() == f.discriminant()
+
+
+def test_ordering_and_hash():
+    assert len({QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 1), QuadraticForm(1, 1, 1)}) == 2
+    assert QuadraticForm(1, 0, 1) < QuadraticForm(1, 1, 1) < QuadraticForm(2, -1, 3)
 
 
 def _chained_positive_definite(f):
