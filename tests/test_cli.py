@@ -627,16 +627,6 @@ def test_render_rejects_too_many_points():
     assert render_region_svg(points[:10_000], "pi").count("<circle") == 10_000
 
 
-def test_plot_item_limit_checked_before_parsing(monkeypatch):
-    calls = []
-    real = cli.base_point
-    monkeypatch.setattr(cli, "base_point", lambda f: calls.append(f) or real(f))
-    code, out, err = run(["plot", *["1,0,1"] * 10_001])
-    assert (code, out) == (1, "")
-    assert err == "error: too many points to plot (limit 10000)\n"
-    assert calls == []
-
-
 def test_plot_item_limit_comes_before_a_malformed_item():
     # the plot's own count check, not render_region_svg's after the parse, names the limit
     code, out, err = run(["plot", *["1,0,1"] * 10_000, "x"])

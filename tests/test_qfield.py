@@ -203,18 +203,6 @@ def test_same_orbit_form_check_rejects_mixed_n():
         same_orbit_form_check(QuadFieldElement(0, 1, 5), QuadFieldElement(0, 1, 1), 2)
 
 
-def test_reachable_implies_equivalent_small():
-    for n in (1, 2):
-        for a in range(-3, 4):
-            for c in range(1, 4):
-                if (a * a + n) % c:
-                    continue
-                alpha = QuadFieldElement(a, c, n)
-                fa = element_form(alpha)
-                for beta in orbit_explore(alpha, 4):
-                    assert equivalent(fa, element_form(beta), mode="proper") is not None
-
-
 def test_pibar_orbit_is_extended_equivalent():
     # the paper's group on Q*(sqrt(-n)): Pi-bar = Pi u Pi R, so the Pi-bar orbit of alpha is
     # the rotation orbits of alpha and of R alpha = -conj(alpha); every member's form is
