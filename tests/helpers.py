@@ -31,6 +31,22 @@ def random_element(rng, length=20):
     return word_to_element("".join(rng.choice("RTUV") for _ in range(length)))
 
 
+def random_skewed_form(rng, max_coeff=10**6):
+    # walk a small form away from reduced shape while staying under the cap;
+    # exercises long reduction chains that uniform sampling rarely hits
+    from bqf import act_on_form
+
+    form = random_positive_definite(rng, max_coeff=40)
+    while True:
+        g = random_element(rng, rng.randint(1, 4))
+        if g.det == -1:
+            continue
+        moved = act_on_form(g, form)
+        if max(moved.a, abs(moved.b), moved.c) > max_coeff:
+            return form
+        form = moved
+
+
 class Overtime(Exception):
     """Raised by within's alarm; not a ValueError or OSError, so no handler in bqf catches it."""
 

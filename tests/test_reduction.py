@@ -22,7 +22,7 @@ from bqf import (
     word_to_element,
 )
 
-from helpers import random_element, random_positive_definite, within
+from helpers import random_element, random_positive_definite, random_skewed_form, within
 
 WIDE = QuadraticForm(1, 2 * 10**7, 10**14 + 1)  # one translation by 10^7
 
@@ -76,6 +76,22 @@ def test_rejects_non_positive_definite():
         reduce_form(QuadraticForm(1, 3, 1))
     with pytest.raises(ValueError):
         reduce_form(QuadraticForm(-1, 0, -1))
+
+
+def test_reduction_properties_bulk():
+    # soundness, canonicality ingredients, and the step bound in one sweep
+    rng = random.Random(0xD0)
+    for k in range(10_000):
+        f = random_positive_definite(rng) if k % 2 else random_skewed_form(rng)
+        result = reduce_form(f)
+        assert result.reduced.is_reduced()
+        assert result.reduced.is_almost_reduced()
+        assert result.reduced.discriminant() == f.discriminant()
+        assert act_on_form(result.witness, f) == result.reduced
+        assert word_to_element(result.word) == result.witness
+        assert 3 * result.reduced.a**2 <= -f.discriminant()
+        limit = 4 * max(f.a, abs(f.b), f.c).bit_length() + 8
+        assert result.steps <= limit
 
 
 def two_branch_reduce(form):
@@ -207,10 +223,8 @@ def test_word_bound_refuses_huge_translation():
     assert act_on_form(g, QuadraticForm(1, 0, 1)) == huge
 
 
-def test_equivalent_same_class():
-    # a det +1 move keeps the reduced form and is undone by a proper witness and an
-    # extended one
-    rng = random.Random(0xD2)
+def test_reduction_is_idempotent_on_classes():
+    rng = random.Random(0xD1)
     for _ in range(300):
         f = random_positive_definite(rng, max_coeff=10**4)
         g = random_element(rng, rng.randint(0, 12))
@@ -218,10 +232,20 @@ def test_equivalent_same_class():
             g = compose(g, g)  # force det +1
         moved = act_on_form(g, f)
         assert reduce_form(moved).reduced == reduce_form(f).reduced
+
+
+def test_equivalent_same_class():
+    rng = random.Random(0xD2)
+    for _ in range(300):
+        f = random_positive_definite(rng, max_coeff=10**4)
+        g = random_element(rng, rng.randint(0, 10))
+        if g.det == -1:
+            g = compose(g, g)
+        moved = act_on_form(g, f)
         witness = equivalent(f, moved, mode="proper")
+        assert witness is not None
         assert witness.det == 1
         assert act_on_form(witness, moved) == f
-        assert act_on_form(equivalent(f, moved, mode="extended"), moved) == f
 
 
 def test_equivalent_examples():
@@ -250,6 +274,19 @@ def test_extended_finds_every_mirror_image():
     for _ in range(400):
         f = random_positive_definite(rng, max_coeff=30)
         moved = act_on_form(random_element(rng, rng.randint(0, 10)), f.mirror())
+        w = equivalent(f, moved, mode="extended")
+        assert w is not None
+        assert act_on_form(w, moved) == f
+
+
+def test_extended_covers_proper():
+    rng = random.Random(0xD3)
+    for _ in range(200):
+        f = random_positive_definite(rng, max_coeff=10**3)
+        g = random_element(rng, rng.randint(0, 8))
+        if g.det == -1:
+            g = compose(g, g)
+        moved = act_on_form(g, f)
         w = equivalent(f, moved, mode="extended")
         assert w is not None
         assert act_on_form(w, moved) == f

@@ -245,9 +245,16 @@ def test_quadratic_residues_bound():
 
 def test_residue_set_sizes():
     for p in sieve_odd_primes(1000):
+        assert len(quadratic_residues(p)) == (p - 1) // 2
+
+
+def test_legendre_matches_squaring_table():
+    for p in sieve_odd_primes(1000):
         squares = {v * v % p for v in range(1, p)}
+        for v in range(1, p):
+            assert legendre(v, p) == (1 if v in squares else -1)
+        assert legendre(p, p) == 0
         assert quadratic_residues(p) == squares
-        assert len(squares) == (p - 1) // 2
 
 
 def euler_criterion(value, p):
