@@ -40,6 +40,8 @@ def _recipe_table(amax: int):
     global _recipes
     if len((table := _recipes)[0]) > amax:
         return table
+    if amax >> 16:  # array("H") holds a < 2^16, and the prime table ends there
+        raise ValueError(f"MAX_ABS_DELTA = {_bound_text(MAX_ABS_DELTA)} exceeds 3 * 2^32")
     from array import array  # here, not at import, which stays as fast as before
 
     spf, size = smallest_prime_factors(), amax + 1  # amax <= isqrt(MAX_ABS_DELTA // 3) < 2^16

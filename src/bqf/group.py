@@ -17,6 +17,8 @@ the diagonal conjugate returned by base_point_transform.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import cycle
+from operator import mul
 
 from ._value import Value, _bound_text
 from .forms import QuadraticForm
@@ -150,11 +152,13 @@ def element_to_word(g: GroupElement) -> str:
     A determinant -1 element gets a leading R. The rest is x w y with
     x in {"", U, V}, y in {"", T} and w a word in TU = (1 1 / 0 1) and
     TV = (1 0 / 1 1), which freely generate the nonnegative matrices of
-    SL(2, Z); so exactly one x^-1 g y^-1 is +- a nonnegative matrix. Its
-    runs (TU)^k (TV)^j come from the floor-division Euclidean algorithm on
-    its rows: O(log) bigint steps, and the letter count follows from the
-    runs before any letter is written. Raises ValueError when the word
-    would exceed MAX_WORD_LETTERS letters.
+    SL(2, Z); so exactly one x^-1 g y^-1 is +- a nonnegative matrix
+    (a b / c d). Its runs (TU)^k (TV)^j are the odd-length continued fraction
+    of b / d, then (TV)^j with j = (a - 1) // b, as the part before (TV)^j
+    has determinant 1, second column (b, d) and top left p in [1, b], and
+    a = p + j b: a two-number Euclidean algorithm, O(log) bigint steps. The
+    letter count follows from the runs before any letter is written. Raises
+    ValueError when the word would exceed MAX_WORD_LETTERS letters.
     """
     r, s, t, u = g
     lead = "R" if r * u - s * t == -1 else ""
@@ -176,15 +180,16 @@ def element_to_word(g: GroupElement) -> str:
             continue
         break
     a, b, c, d = abs(a), abs(b), abs(c), abs(d)
-    runs = []
-    while b or c:  # a, d >= 1 throughout
-        k = b // d  # (TU)^-k takes the bottom row off the top k times
-        a, b = a - k * c, b - k * d
-        j = c // a  # (TV)^-j takes the top row off the bottom j times
-        c, d = c - j * a, d - j * b
-        runs.append((k, j))
-    letters = len(lead + x + y) + 2 * sum(k + j for k, j in runs)
+    quotients, n, m = [], b, d
+    while m:  # the continued fraction of b / d: the runs but the trailing (TV)^j
+        (q, m), n = divmod(n, m), m
+        quotients.append(q)
+    if not len(quotients) & 1:  # the expansion of odd length: [..., q] -> [..., q - 1, 1]
+        quotients[-1:] = quotients[-1] - 1, 1
+    quotients.append((a - 1) // b if b else c)  # a = p + j b with p in [1, b]
+    letters = len(lead + x + y) + 2 * sum(quotients)
     if letters > MAX_WORD_LETTERS:
         raise ValueError(f"word of {letters} letters exceeds the word bound "
                          f"{_bound_text(MAX_WORD_LETTERS)}")
-    return lead + x + "".join(["TU" * k + "TV" * j for k, j in runs]) + y
+    # join returns a lone nonempty run as it is, so a one-run word is written once
+    return lead + x + "".join(filter(None, map(mul, cycle(("TU", "TV")), quotients))) + y

@@ -17,7 +17,7 @@ class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word
     act_on_form(witness, original) == reduced, word multiplies out to
     witness mod sign, steps counts elementary moves. The word is
     element_to_word(witness), read off the witness as runs (TU)^k (TV)^j
-    by a Euclidean algorithm on its rows; reduce_form raises ValueError
+    by a Euclidean algorithm on one column; reduce_form raises ValueError
     when it would exceed MAX_WORD_LETTERS letters.
     """
 
@@ -25,12 +25,17 @@ class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word
 
 
 def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
-    """Reduced form, witness (r s / t u) and steps: reduce_form without a word."""
+    """Reduced form, witness (r s / t u) and steps: reduce_form without a word.
+
+    A move acts on each witness column alone, so the loop carries (r, t) only. At the
+    exit, with [A, B, C] reduced from [a0, b0, c0], (s, u) solves ru - ts = 1 and
+    (2Ar + Bt)s + (Br + 2Ct)u = b0, as the inverse witness takes [A, B, C] back to b0:
+    the system's determinant is 2a0 > 0, so both divisions are exact.
+    """
     if not form.is_positive_definite():
         raise ValueError("only positive definite forms can be reduced")
-    a, b, c = form
-    r, s, t, u = 1, 0, 0, 1
-    steps = 0
+    a, b, c = a0, b0, _ = form
+    r, t, steps = 1, 0, 0
     while True:  # two passes a round; the swap between them renames, moving no value
         m = (a - b) // (2 * a)  # zero exactly when -a < b <= a
         if m:  # translate by (TU)^-m: b -> b + 2am, c by m times the mean of old and new b
@@ -38,21 +43,25 @@ def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
             b += am
             c += m * b
             b += am
-            r, s = r - m * t, s - m * u  # (1 -m / 0 1) times the witness
+            r -= m * t  # (1 -m / 0 1) times the witness
             steps += 1
         if a < c or a == c and b >= 0:
-            return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
+            break
         m = (c + b) // (2 * c)  # the same on the swapped form (c, -b, a), witness (-t, -u, r, s)
         if m:
             cm = c * m
             b -= cm
             a -= m * b
             b -= cm
-            t, u = t + m * r, u + m * s
+            t += m * r
             steps += 1
         if c < a or c == a and b <= 0:
-            return QuadraticForm(c, -b, a), GroupElement(-t, -u, r, s), steps + 1
+            a, b, c, r, t, steps = c, -b, a, -t, r, steps + 1
+            break
         steps += 2  # two swaps negate the witness, which is stored modulo sign
+    d = 2 * a0
+    s, u = (r * (b0 - b) - 2 * c * t) // d, (2 * a * r + t * (b + b0)) // d
+    return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
 
 
 def reduce_form(form: QuadraticForm) -> ReductionResult:

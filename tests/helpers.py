@@ -54,7 +54,8 @@ class Overtime(Exception):
 def within(seconds, fn):
     """fn(), failing when its value or exception comes `seconds` or more after the call;
     an alarm raises Overtime in a call that would never return. The alarm notes that it
-    fired, so an Overtime that Python drops (raised inside a gc callback, say) still fails."""
+    fired, so an Overtime that Python drops (raised inside a gc callback, say) still fails,
+    and it repeats every 50 ms until the call ends, so a dropped one cannot free the call."""
     fired = []
 
     def timeout(signum, frame):
@@ -62,7 +63,7 @@ def within(seconds, fn):
         raise Overtime(f"no return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.05)
     start = time.perf_counter()
     try:
         return fn()

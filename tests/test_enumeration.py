@@ -287,6 +287,17 @@ def test_prime_table_matches_trial_division():
     assert math.isqrt(enumeration.MAX_ABS_DELTA // 3) < len(spf)
 
 
+def test_bound_past_the_recipe_table_is_refused(monkeypatch):
+    # the recipes are array("H") columns over a prime table that ends at 2^16: a bound
+    # past 3 * 2^32 reaches a = 2^16 and is refused by name before any table is built
+    monkeypatch.setattr(enumeration, "MAX_ABS_DELTA", 10**11)
+    monkeypatch.setattr(enumeration, "_recipes", ((),) * 4)
+    monkeypatch.setattr(enumeration, "smallest_prime_factors", lambda: pytest.fail("built"))
+    with pytest.raises(ValueError, match=r"^MAX_ABS_DELTA = 10\^11 exceeds 3 \* 2\^32$"):
+        class_number(-3 * 2**32)
+    assert enumeration._recipes == ((),) * 4
+
+
 def test_prime_table_is_built_on_first_use():
     # nor the Tonelli-Shanks constants and the recipe table with its root rows: import
     # stays as fast as before

@@ -123,14 +123,15 @@ def uniform_forms(draw, bound=10**6):
 
 
 @st.composite
-def continued_fraction_forms(draw):
+def continued_fraction_forms(draw, qbits=40):
     """A small form moved by (q1 1 / 1 0)(q2 1 / 1 0)... up to 1024 bits, with
-    partial quotients of both signs, so that reduction takes many steps."""
+    partial quotients of both signs and up to qbits bits, so that reduction takes
+    many steps."""
     f = draw(uniform_forms(50))
     bits = draw(st.integers(1, 1024))
     r, s, t, u = 1, 0, 0, 1
     while max(abs(r), abs(s), abs(t), abs(u)).bit_length() < bits:
-        q = draw(st.integers(1, 2 ** draw(st.integers(1, 40)))) * draw(st.sampled_from((1, -1)))
+        q = draw(st.integers(1, 2 ** draw(st.integers(1, qbits)))) * draw(st.sampled_from((1, -1)))
         r, s, t, u = r * q + s, r, t * q + u, t
     return act_on_form(GroupElement(r, s, t, u), f)
 
@@ -194,8 +195,10 @@ def test_reduce_returns_from_both_half_passes():
 
 
 @settings(deadline=None)
-@given(moved_forms())
+@given(st.one_of(moved_forms(), continued_fraction_forms(qbits=6)))
 def test_word_is_the_witness_normal_form(f):
+    # a continued fraction form's word has hundreds of runs, each read off one column of
+    # the witness: the odd-length expansion and the trailing run must multiply back to it
     result = reduce_form(f)
     assert result.word == element_to_word(result.witness)
     assert word_to_element(result.word) == result.witness
