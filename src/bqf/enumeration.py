@@ -10,9 +10,10 @@ found before a, by one CRT with e = n (n^-1 mod q); an n = 1 lifts the roots for
 e = q / p. A prime a > 2 (e = 1) not dividing delta reads its least root off a
 byte row of a entries when a < 2^9 (all 96 hold 22.5 KB and build in ~0.7 ms),
 and takes Tonelli-Shanks from 2^9 up. One table, independent of delta, holds the
-recipes and the rows: built on first need and kept, built again for a larger a than
-any before with its rows kept, and bound by one assignment. Counts build no form.
-|delta| is capped at MAX_ABS_DELTA; above it the functions raise ValueError.
+recipes and rows for every a below a power of two: cached per size, built on first
+need (~25 ms at 2^16, ~1.5 ms at 2^11), all sizes together at most twice the largest
+(< 1 MB). Counts build no form. |delta| is capped at MAX_ABS_DELTA; above it the
+functions raise ValueError.
 """
 
 from __future__ import annotations
@@ -30,24 +31,20 @@ __all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
 MAX_ABS_DELTA = 10**10
 # QuadraticForm and Value define no __new__; the namedtuple's only calls tuple.__new__
 _form = functools.partial(tuple.__new__, QuadraticForm)
-_recipes = ((),) * 4  # the last table _recipe_table built
 
 
-def _recipe_table(amax: int):
-    """Columns n, q, e of each a <= amax's recipe (see above) and rows least[p], the least
-    root of each x mod an odd prime p < min(amax + 1, 2^9), 0 for none. A larger amax
-    keeps the rows; one assignment binds the table whole, so no call reads half of one."""
-    global _recipes
-    if len((table := _recipes)[0]) > amax:
-        return table
-    if amax >> 16:  # array("H") holds a < 2^16, and the prime table ends there
+@functools.cache
+def _recipe_table(size: int):
+    """Columns n, q, e of each a < size's recipe (see above) and rows least[p], the least
+    root of each x mod an odd prime p < min(size, 2^9), 0 for none; size a power of two."""
+    if size > 1 << 16:  # array("H") holds a < 2^16, and the prime table ends there
         raise ValueError(f"MAX_ABS_DELTA = {_bound_text(MAX_ABS_DELTA)} exceeds 3 * 2^32")
     from array import array  # here, not at import, which stays as fast as before
 
-    spf, size = smallest_prime_factors(), amax + 1  # amax <= isqrt(MAX_ABS_DELTA // 3) < 2^16
+    spf = smallest_prime_factors()
     qs = array("H", range(size))  # q = a for a prime a
     qs[0] = 1  # so that a // q below is defined at a = 0
-    for p in range(isqrt(amax), 1, -1):  # downwards, so the least prime writes last
+    for p in range(isqrt(size - 1), 1, -1):  # downwards, so the least prime writes last
         if not spf[p]:
             q = p
             while q < size:  # upwards, so the highest power of p writes last
@@ -55,15 +52,14 @@ def _recipe_table(amax: int):
                 q *= p
     ns = array("H", [a // q for a, q in enumerate(qs)])
     es = array("H", [n * pow(n, -1, q) if n > 1 else q // (spf[q] or q) for n, q in zip(ns, qs)])
-    least = [*table[3], *[b""] * (min(size, 1 << 9) - len(table[3]))]  # the rows built are kept
-    for p in range(len(table[3]), len(least)):
-        if p > 2 and not spf[p]:  # a residue's one root in [1, p/2] is its least
+    least = [b""] * min(size, 1 << 9)
+    for p in range(3, len(least)):
+        if not spf[p]:  # a residue's one root in [1, p/2] is its least
             row = bytearray(p)
             for r in range(1, p // 2 + 1):
                 row[r * r % p] = r
             least[p] = bytes(row)
-    _recipes = table = (ns, qs, es, least)
-    return table
+    return ns, qs, es, least
 
 
 def validate_discriminant(delta: int) -> None:
@@ -80,7 +76,7 @@ def _candidates(delta: int, almost: bool, primitive: bool) -> list[tuple[int, in
     if -delta > MAX_ABS_DELTA:
         raise ValueError(f"|delta| = {-delta} exceeds the enumeration bound "
                          f"{_bound_text(MAX_ABS_DELTA)}")
-    ns, qs, es, least = _recipe_table(amax := isqrt(-delta // 3))
+    ns, qs, es, least = _recipe_table(1 << (amax := isqrt(-delta // 3)).bit_length())
     roots = [(), [delta & 1]]  # roots[a]: the x in [0, 2a) with x^2 = delta (mod 4a)
     out = []
     for a in range(1, amax + 1):

@@ -1,5 +1,6 @@
 """The public names: each module's __all__, and the package's union of them."""
 
+import ast
 import inspect
 import math
 import random
@@ -32,6 +33,16 @@ def test_each_public_name_is_stated_once_by_its_module():
         name: getattr(bqf, name) for name in bqf.__all__
     }
     assert set(namespace) == {*bqf.__all__, "__builtins__"}
+
+
+def test_no_module_rebinds_a_global():
+    # module state is constants and functools caches: no function rebinds a name
+    # outside its own scope, so no result depends on which call bound it last
+    sources = sorted((README.parent / "src" / "bqf").glob("*.py"))
+    assert len(sources) >= 10, sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, (ast.Global, ast.Nonlocal)), (path.name, node.lineno)
 
 
 def definite_form(a, c, x):

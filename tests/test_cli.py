@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqf import base_point, cli
+from bqf import base_point, cli, residues
 from bqf.cli import main, render_region_svg
 from bqf.forms import QuadraticForm
 from bqf.points import AlgebraicPoint
@@ -241,9 +241,12 @@ def test_the_fuzz_draws_every_verb_and_option():
 
 def test_the_time_bound_passes_through_main():
     # main turns a ValueError or OSError into exit 1; the alarm's Overtime is neither, so a
-    # slow call fails the fuzz above, where a TimeoutError would pass as a domain error
+    # slow call fails the fuzz above, where a TimeoutError would pass as a domain error.
+    # The slow call proves a 4096-bit prime (~0.5 s), which no cache answers once cleared:
+    # C-level int arithmetic allocates little, so the alarm does not land in a gc callback
+    residues.is_prime.cache_clear()
     with pytest.raises(Overtime):
-        within(0.05, lambda: run(["class-number", "-9999999999"]))
+        within(0.05, lambda: run(["legendre", "3", str(2**4095 + 579)]))
 
 
 def full_parse(argv):

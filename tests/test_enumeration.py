@@ -291,21 +291,26 @@ def test_bound_past_the_recipe_table_is_refused(monkeypatch):
     # the recipes are array("H") columns over a prime table that ends at 2^16: a bound
     # past 3 * 2^32 reaches a = 2^16 and is refused by name before any table is built
     monkeypatch.setattr(enumeration, "MAX_ABS_DELTA", 10**11)
-    monkeypatch.setattr(enumeration, "_recipes", ((),) * 4)
     monkeypatch.setattr(enumeration, "smallest_prime_factors", lambda: pytest.fail("built"))
+    enumeration._recipe_table.cache_clear()
     with pytest.raises(ValueError, match=r"^MAX_ABS_DELTA = 10\^11 exceeds 3 \* 2\^32$"):
         class_number(-3 * 2**32)
-    assert enumeration._recipes == ((),) * 4
+    assert enumeration._recipe_table.cache_info().currsize == 0
 
 
 def test_prime_table_is_built_on_first_use():
-    # nor the Tonelli-Shanks constants and the recipe table with its root rows: import
-    # stays as fast as before
+    # nor the Tonelli-Shanks constants and the recipe tables with their root rows: import
+    # stays as fast as before; a second walk of the same size builds no table
     code, out, err = python(
-        "-c", "import bqf.cli; print(bqf.residues.smallest_prime_factors.cache_info(),"
-        " bqf.residues._tonelli_constants.cache_info(), bqf.enumeration._recipes == ((),) * 4)"
+        "-c", "import bqf.cli; from bqf import enumeration, residues\n"
+        "print(residues.smallest_prime_factors.cache_info(),"
+        " residues._tonelli_constants.cache_info(), enumeration._recipe_table.cache_info())\n"
+        "enumeration.class_number(-99999); first = enumeration._recipe_table.cache_info()\n"
+        "enumeration.class_number(-99995); print(first.misses,"
+        " enumeration._recipe_table.cache_info().misses)"
     )
-    assert code == 0 and out.count("currsize=0") == 2 and out.split()[-1] == "True", (out, err)
+    assert code == 0 and out.count("currsize=0") == 3 and out.split()[-2:] == ["1", "1"], (
+        out, err)
 
 
 def test_root_tables_hold_the_least_root():
@@ -337,9 +342,9 @@ def test_recipe_table_growth_order_gives_the_same_forms():
     assert runs[0] == runs[1] and runs[0][0] == 0, runs
 
 
-def test_threads_share_the_recipe_table(monkeypatch):
-    # more threads than cores start together on an empty table, with a short switch
-    # interval, so one builds the table while the others read or build it; a thread
+def test_threads_share_the_recipe_table():
+    # more threads than cores start together on an empty cache, with a short switch
+    # interval, so one builds a table while the others walk or build theirs; a thread
     # walks again until every thread has an answer or one has failed, so walks meet
     # each build, and each round must match one thread's answers
     deltas = [-(4 * 10**8) - 3, -(4 * 10**4), -(4 * 10**6) - 3, -(4 * 10**2)]
@@ -357,7 +362,7 @@ def test_threads_share_the_recipe_table(monkeypatch):
 
     def rounds():
         for _ in range(10):
-            monkeypatch.setattr(enumeration, "_recipes", ((),) * 4)
+            enumeration._recipe_table.cache_clear()
             got[:] = [None] * len(deltas)
             threads = [threading.Thread(target=work, args=(i,)) for i in range(len(deltas))]
             for t in threads:
