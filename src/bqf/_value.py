@@ -1,4 +1,6 @@
-"""Value, the immutable base of the library's value types, and two text helpers."""
+"""Value, the immutable base of the library's value types, and its helpers."""
+
+from functools import partial
 
 
 def _plain(text: str) -> bool:  # ASCII, printable and no "_", as str() writes an int
@@ -7,6 +9,10 @@ def _plain(text: str) -> bool:  # ASCII, printable and no "_", as str() writes a
 
 def _bound_text(bound: int) -> str:  # as error texts write a bound: 10^k for 10**k, else digits
     return f"10^{len(str(bound)) - 1}" if str(bound).rstrip("0") == "1" else str(bound)
+
+
+def _unchecked(cls):  # cls from one iterable, built in C by tuple.__new__ (see Value)
+    return partial(tuple.__new__, cls)
 
 
 def _within_kind(compare):
@@ -25,7 +31,10 @@ class Value(tuple):
     __slots__, and declares its text form once, as _text with one %s per field and
     one-character separators, for str() and parse(); the records have none, keep
     their repr as str and refuse parse. Validation and normalization live in
-    __new__; _make, and so _replace, call it. __ne__ is spelled out because tuple's
+    __new__; _make, and so _replace, call it. QuadraticForm and ReductionResult have
+    none to run (the namedtuple's own only calls tuple.__new__), so _unchecked(cls)
+    builds exactly the same value, skipping one Python call; reduction, act_on_form,
+    mirror and the enumerations build them so. __ne__ is spelled out because tuple's
     own would compare across classes, and <, <=, >, >= raise TypeError across kinds
     because NotImplemented would let tuple's reflected comparison answer for a plain
     tuple. value + x and * raise TypeError (GroupElement's compose is its own *), but

@@ -19,10 +19,10 @@ from operator import eq, itemgetter
 from ._value import _plain
 from .enumeration import class_number, enumerate_almost_reduced, enumerate_reduced
 from .forms import QuadraticForm
-from .group import element_to_word
+from .group import GroupElement, element_to_word
 from .points import AlgebraicPoint, _normalize, base_point, form_from_point
 from .qfield import QuadFieldElement, _orbit, same_orbit_form_check
-from .reduction import equivalent, reduce_form
+from .reduction import _reduce, equivalent
 from .residues import legendre
 
 # plot geometry: 200 px per unit on [-1.6, 1.6] x [0, 2.4]
@@ -119,11 +119,11 @@ def render_region_svg(points: list[tuple[int, int, int]], region: str) -> str:
 
 
 def _fields(data: dict) -> str:
-    """One "key: value" line per field; '_' is written '-', booleans yes/no."""
+    """One "key: value" line per field but None ones; '_' is written '-', booleans yes/no."""
     yn = {True: "yes", False: "no"}
     return "".join(
         f"{key.replace('_', '-')}: {yn[v] if isinstance(v, bool) else v}\n"
-        for key, v in data.items()
+        for key, v in data.items() if v is not None
     )
 
 
@@ -132,14 +132,18 @@ def _listing(names: list[str], label: str) -> str:
     return "".join(f"{name}\n" for name in names) + f"{label}={len(names)}\n"
 
 
+def _word(g) -> dict:
+    """{"word": element_to_word(g)}; past MAX_WORD_LETTERS, no word but its letter count."""
+    try:
+        return {"word": element_to_word(g)}
+    except ValueError as error:  # element_to_word's one error, the word bound
+        return {"word": None, "word_letters": error.letters}
+
+
 def _cmd_reduce(args) -> tuple[dict, str]:
-    res = reduce_form(args.form)
-    data = {
-        "reduced": str(res.reduced),
-        "word": res.word,
-        "witness": str(res.witness),
-        "steps": res.steps,
-    }
+    reduced, w, steps = _reduce(args.form)  # reduce_form, but a long word is counted
+    witness = GroupElement(*w)
+    data = {"reduced": str(reduced), **_word(witness), "witness": str(witness), "steps": steps}
     return data, _fields(data)
 
 
@@ -147,7 +151,7 @@ def _cmd_equiv(args) -> tuple[dict, str]:
     g = equivalent(args.form, args.other, args.mode)
     data = {"equivalent": False}
     if g is not None:
-        data = {"equivalent": True, "witness": str(g), "word": element_to_word(g)}
+        data = {"equivalent": True, "witness": str(g), **_word(g)}
     return data, _fields(data)
 
 

@@ -22,15 +22,13 @@ import functools
 from math import gcd, isqrt
 
 from ._value import _bound_text
-from .forms import QuadraticForm
+from .forms import QuadraticForm, _form
 from .residues import smallest_prime_factors, sqrt_mod_prime
 
 __all__ = ["almost_reduced_count", "class_number", "enumerate_almost_reduced",
            "enumerate_reduced", "validate_discriminant"]
 
 MAX_ABS_DELTA = 10**10
-# QuadraticForm and Value define no __new__; the namedtuple's only calls tuple.__new__
-_form = functools.partial(tuple.__new__, QuadraticForm)
 
 
 @functools.cache

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._value import Value
+from ._value import Value, _unchecked
 
 __all__ = ["QuadraticForm"]
 
@@ -54,4 +54,7 @@ class QuadraticForm(Value, namedtuple("QuadraticForm", "a b c")):
 
     def mirror(self) -> QuadraticForm:
         """The reflected form [a, -b, c]; same discriminant."""
-        return QuadraticForm(self.a, -self.b, self.c)
+        return _form((self.a, -self.b, self.c))
+
+
+_form = _unchecked(QuadraticForm)  # _form((a, b, c)) == QuadraticForm(a, b, c), built in C

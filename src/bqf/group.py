@@ -21,7 +21,7 @@ from itertools import cycle
 from operator import mul
 
 from ._value import Value, _bound_text
-from .forms import QuadraticForm
+from .forms import QuadraticForm, _form
 from .points import AlgebraicPoint
 
 __all__ = ["IDENTITY", "R", "T", "U", "V", "GroupElement", "act_on_form", "act_on_point",
@@ -100,7 +100,7 @@ def act_on_form(g: GroupElement, form: QuadraticForm) -> QuadraticForm:
     aa = a * u * u - b * u * t + c * t * t
     bb = -2 * a * u * s + b * (r * u + s * t) - 2 * c * t * r
     cc = a * s * s - b * s * r + c * r * r
-    return QuadraticForm(aa, bb, cc)
+    return _form((aa, bb, cc))
 
 
 def _mobius(g: GroupElement, p: int, q: int, d: int) -> tuple[int, int, int]:
@@ -158,7 +158,8 @@ def element_to_word(g: GroupElement) -> str:
     has determinant 1, second column (b, d) and top left p in [1, b], and
     a = p + j b: a two-number Euclidean algorithm, O(log) bigint steps. The
     letter count follows from the runs before any letter is written. Raises
-    ValueError when the word would exceed MAX_WORD_LETTERS letters.
+    ValueError, with that count as its letters attribute, when the word would
+    exceed MAX_WORD_LETTERS letters.
     """
     r, s, t, u = g
     lead = "R" if r * u - s * t == -1 else ""
@@ -189,7 +190,9 @@ def element_to_word(g: GroupElement) -> str:
     quotients.append((a - 1) // b if b else c)  # a = p + j b with p in [1, b]
     letters = len(lead + x + y) + 2 * sum(quotients)
     if letters > MAX_WORD_LETTERS:
-        raise ValueError(f"word of {letters} letters exceeds the word bound "
-                         f"{_bound_text(MAX_WORD_LETTERS)}")
+        error = ValueError(f"word of {letters} letters exceeds the word bound "
+                           f"{_bound_text(MAX_WORD_LETTERS)}")
+        error.letters = letters
+        raise error
     # join returns a lone nonempty run as it is, so a one-run word is written once
     return lead + x + "".join(filter(None, map(mul, cycle(("TU", "TV")), quotients))) + y

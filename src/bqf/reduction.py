@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._value import Value
-from .forms import QuadraticForm
-from .group import R, GroupElement, element_to_word, inverse
+from ._value import Value, _unchecked
+from .forms import QuadraticForm, _form
+from .group import GroupElement, _product, element_to_word
 
 __all__ = ["ReductionResult", "equivalent", "minimum_represented", "reduce_form"]
 
@@ -24,8 +24,12 @@ class ReductionResult(Value, namedtuple("ReductionResult", "reduced witness word
     __slots__ = ()
 
 
-def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
-    """Reduced form, witness (r s / t u) and steps: reduce_form without a word.
+_result = _unchecked(ReductionResult)
+
+
+def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, tuple[int, int, int, int], int]:
+    """Reduced form, witness (r s / t u) as a raw 4-tuple of determinant 1, and steps:
+    reduce_form without a word or a GroupElement, which equivalent does not return.
 
     A move acts on each witness column alone, so the loop carries (r, t) only. At the
     exit, with [A, B, C] reduced from [a0, b0, c0], (s, u) solves ru - ts = 1 and
@@ -61,7 +65,7 @@ def _reduce(form: QuadraticForm) -> tuple[QuadraticForm, GroupElement, int]:
         steps += 2  # two swaps negate the witness, which is stored modulo sign
     d = 2 * a0
     s, u = (r * (b0 - b) - 2 * c * t) // d, (2 * a * r + t * (b + b0)) // d
-    return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
+    return _form((a, b, c)), (r, s, t, u), steps
 
 
 def reduce_form(form: QuadraticForm) -> ReductionResult:
@@ -73,8 +77,9 @@ def reduce_form(form: QuadraticForm) -> ReductionResult:
     tie. Content is linear through every move, so imprimitive forms reduce
     to their content times a reduced form with the same witness.
     """
-    reduced, witness, steps = _reduce(form)
-    return ReductionResult(reduced, witness, element_to_word(witness), steps)
+    reduced, w, steps = _reduce(form)
+    witness = GroupElement(*w)
+    return _result((reduced, witness, element_to_word(witness), steps))
 
 
 def equivalent(
@@ -91,14 +96,14 @@ def equivalent(
         raise ValueError("equivalence test requires positive definite forms")
     if form.discriminant() != other.discriminant():
         return None
-    rf, wf, _ = _reduce(form)
+    rf, (r, s, t, u), _ = _reduce(form)
     ro, wo, _ = _reduce(other)
-    if rf == ro:
-        return inverse(wf) * wo
+    if rf == ro:  # adj(wf) wo: the adjugate inverts wf modulo sign
+        return GroupElement(*_product((u, -s, -t, r), wo))
     # R takes ro to its mirror, which is reduced unless ro lies on the boundary;
     # there the mirror reduces back to ro, which was already compared with rf
-    if mode == "extended" and rf == ro.mirror():
-        return inverse(wf) * R * wo
+    if mode == "extended" and rf == ro.mirror():  # adj(wf) R wo, R = diag(1, -1)
+        return GroupElement(*_product((u, s, -t, -r), wo))
     return None
 
 

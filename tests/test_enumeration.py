@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bqf import (
     QuadraticForm,
+    ReductionResult,
     almost_reduced_count,
     class_number,
     enumerate_almost_reduced,
@@ -25,7 +26,7 @@ from bqf import enumeration
 from bqf._value import Value
 from bqf.residues import smallest_prime_factors
 
-from helpers import python, random_positive_definite, within
+from helpers import README, python, random_positive_definite, within
 
 
 def rectangle_scan(delta, predicate):
@@ -271,9 +272,15 @@ def test_counts_build_no_forms(monkeypatch):
     assert (class_number(-23), almost_reduced_count(-23)) == (3, 4)
     assert (class_number(-12), almost_reduced_count(-12)) == (1, 3)
     assert class_number(-99999) == h
-    # the lists build forms by tuple.__new__, past the constructor, which gives what the
-    # constructor gives only while neither class has a __new__ that validates or normalizes
-    assert "__new__" not in vars(QuadraticForm) and "__new__" not in vars(Value)
+    # the lists, reduction and act_on_form build forms, and reduce_form its results, by
+    # tuple.__new__, past the constructor (_value._unchecked), which gives what the
+    # constructor gives only while no such kind, nor Value, has a __new__ that validates
+    # or normalizes; a kind newly built that way must join this list
+    kinds = (QuadraticForm, ReductionResult)
+    sources = (README.parent / "src" / "bqf").glob("*.py")
+    source = "".join(path.read_text(encoding="utf-8") for path in sources)
+    assert set(re.findall(r"= _unchecked\((\w+)\)", source)) == {k.__name__ for k in kinds}
+    assert all("__new__" not in vars(cls) for cls in (*kinds, Value))
 
 
 def test_prime_table_matches_trial_division():
@@ -329,8 +336,9 @@ def test_root_tables_hold_the_least_root():
     within(1.0, check)
 
 
-def test_recipe_table_growth_order_gives_the_same_forms():
-    # the largest table first, or grown one delta at a time: the same triples either way
+def test_table_cache_order_changes_no_triple():
+    # each process caches the tables of its deltas' sizes, one process largest first and
+    # one smallest first: the order in which table sizes are first cached changes no triple
     deltas = sorted([-(10**10), -(10**10) + 1, -400000003, -99999, -23, -4, -3])
     code = (
         "import hashlib, sys; from bqf.enumeration import _candidates\n"

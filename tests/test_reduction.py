@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bqf import (
     IDENTITY,
+    R,
     GroupElement,
     QuadraticForm,
     act_on_form,
@@ -16,6 +17,7 @@ from bqf import (
     compose,
     element_to_word,
     equivalent,
+    inverse,
     minimum_represented,
     reduce_form,
     reduction,
@@ -115,6 +117,13 @@ def two_branch_reduce(form):
     return QuadraticForm(a, b, c), GroupElement(r, s, t, u), steps
 
 
+def reduce_checked(form):
+    # _reduce with its raw witness validated and made canonical, as reduce_form does
+    reduced, (r, s, t, u), steps = reduction._reduce(form)
+    assert r * u - s * t == 1  # as _reduce's docstring says, not just +-1
+    return reduced, GroupElement(r, s, t, u), steps
+
+
 @st.composite
 def uniform_forms(draw, bound=10**6):
     a, c = draw(st.integers(1, bound)), draw(st.integers(1, bound))
@@ -158,7 +167,7 @@ def test_reduce_matches_two_branch_loop(f, content):
     # one pass of _reduce translates and then swaps; the reduced form, the
     # witness and the step count are those of the two-branch loop
     f = QuadraticForm(content * f.a, content * f.b, content * f.c)
-    reduced, witness, steps = reduction._reduce(f)
+    reduced, witness, steps = reduce_checked(f)
     assert (reduced, witness, steps) == two_branch_reduce(f)
     assert reduced.is_reduced()
     assert act_on_form(witness, f) == reduced
@@ -190,7 +199,7 @@ def test_reduce_returns_from_both_half_passes():
         r, s, t, u = r * q + s, r, t * q + u, t
     cases.append(act_on_form(GroupElement(r, s, t, u), QuadraticForm(2, 1, 3)))
     for f in cases:
-        assert reduction._reduce(f) == two_branch_reduce(f), f
+        assert reduce_checked(f) == two_branch_reduce(f), f
     assert reduction._reduce(cases[-1])[2] > 4096
 
 
@@ -268,6 +277,20 @@ def test_equivalent_reduces_each_form_once(monkeypatch):
             calls.clear()
             equivalent(QuadraticForm(*f), QuadraticForm(*g), mode)
             assert len(calls) == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(moved_forms(), st.text(alphabet="RTUV", max_size=30))
+def test_equivalent_witness_is_the_group_product(f, word):
+    # equivalent multiplies raw matrices and validates once; the witness is still the
+    # public group product of the two reduce_form witnesses, R between them if mirrored
+    other = act_on_form(word_to_element(word), f)
+    wf, wo = reduce_form(f).witness, reduce_form(other).witness
+    proper = compose(inverse(wf), wo)
+    same = act_on_form(proper, other) == f
+    assert equivalent(f, other, "proper") == (proper if same else None)
+    assert equivalent(f, other, "extended") == (proper if same else
+                                                compose(compose(inverse(wf), R), wo))
 
 
 def test_extended_finds_every_mirror_image():
