@@ -88,14 +88,12 @@ def equivalent(
     """Witness g with act_on_form(g, other) == form, or None.
 
     "proper" searches the determinant +1 orbit; "extended" also allows a
-    reflection, in which case the witness has determinant -1.
+    reflection, in which case the witness has determinant -1. The reduction
+    refuses a form that is not positive definite; forms of different
+    discriminants reduce to different forms, so the comparison gives None.
     """
     if mode not in ("proper", "extended"):
         raise ValueError(f"mode must be 'proper' or 'extended', got {mode!r}")
-    if not form.is_positive_definite() or not other.is_positive_definite():
-        raise ValueError("equivalence test requires positive definite forms")
-    if form.discriminant() != other.discriminant():
-        return None
     rf, (r, s, t, u), _ = _reduce(form)
     ro, wo, _ = _reduce(other)
     if rf == ro:  # adj(wf) wo: the adjugate inverts wf modulo sign

@@ -146,6 +146,11 @@ def test_words_past_the_bound_are_counted():
 def test_domain_errors_exit_one():
     cases = [
         (["reduce", "1,3,1"], "error: only positive definite forms can be reduced\n"),
+        (["equiv", "1,3,1", "1,0,1"], "error: only positive definite forms can be reduced\n"),
+        (
+            ["equiv", "1,0,1", "1,3,1", "--mode", "extended"],
+            "error: only positive definite forms can be reduced\n",
+        ),
         (
             ["class-number", "-6"],
             "error: invalid discriminant -6: need delta < 0 and delta = 0 or 1 (mod 4)\n",

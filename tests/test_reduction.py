@@ -271,12 +271,14 @@ def test_equivalent_reduces_each_form_once(monkeypatch):
     calls = []
     real = reduction._reduce
     monkeypatch.setattr(reduction, "_reduce", lambda f: calls.append(f) or real(f))
-    pairs = [((2, 1, 3), (2, -1, 3)), ((11, 49, 55), (1, 1, 5)), ((1, 0, 5), (2, 2, 3))]
+    pairs = [((2, 1, 3), (2, -1, 3)), ((11, 49, 55), (1, 1, 5)), ((1, 0, 5), (2, 2, 3)),
+             ((2, 1, 3), (2, 1, 4))]
     for mode in ("proper", "extended"):
         for f, g in pairs:
             calls.clear()
-            equivalent(QuadraticForm(*f), QuadraticForm(*g), mode)
+            result = equivalent(QuadraticForm(*f), QuadraticForm(*g), mode)
             assert len(calls) == 2
+        assert result is None  # the last pair's discriminants differ: both are still reduced
 
 
 @settings(deadline=None, max_examples=200)
@@ -319,14 +321,28 @@ def test_extended_covers_proper():
 
 
 def test_equivalent_mismatched_discriminants():
-    assert equivalent(QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 2)) is None
+    # reduction keeps the discriminant, so the reduced forms differ, and so does each mirror
+    pairs = [((1, 0, 1), (1, 0, 2)), ((2, 1, 3), (2, 1, 4)), ((2, 1, 3), (2, -1, 4)),
+             ((2, -1, 3), (2, 1, 4))]
+    for mode in ("proper", "extended"):
+        for f, g in pairs:
+            assert equivalent(QuadraticForm(*f), QuadraticForm(*g), mode) is None
+            assert equivalent(QuadraticForm(*g), QuadraticForm(*f), mode) is None
 
 
 def test_equivalent_input_validation():
-    with pytest.raises(ValueError):
-        equivalent(QuadraticForm(1, 3, 1), QuadraticForm(1, 0, 1))
-    with pytest.raises(ValueError):
-        equivalent(QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 1), mode="sideways")
+    refused = "only positive definite forms can be reduced"
+    definite, indefinite = QuadraticForm(1, 0, 1), QuadraticForm(1, 3, 1)
+    for mode in ("proper", "extended"):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            equivalent(indefinite, definite, mode)
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            equivalent(definite, indefinite, mode)
+        # the discriminants differ too, but the reduction refuses before any comparison
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            equivalent(indefinite, QuadraticForm(1, 0, 2), mode)
+    with pytest.raises(ValueError, match="^mode must be 'proper' or 'extended', got 'sideways'$"):
+        equivalent(indefinite, definite, mode="sideways")
 
 
 def test_equivalence_matches_base_point_canonicality():
