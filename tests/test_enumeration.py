@@ -323,7 +323,7 @@ def test_prime_table_is_built_on_first_use():
 def test_root_tables_hold_the_least_root():
     # every odd prime p < 2^9 and x in [1, p): the least r with r^2 = x (mod p), 0 for none
     def check():
-        spf, rows = smallest_prime_factors(), enumeration._recipe_table(1 << 9)[3]
+        spf, rows = smallest_prime_factors(), enumeration._recipe_table(1 << 9)[-1]
         assert len(rows) == 1 << 9
         for p in range(3, 1 << 9, 2):
             if spf[p]:
@@ -332,6 +332,24 @@ def test_root_tables_hold_the_least_root():
             for r in range(p - 1, 0, -1):  # downwards: the least root writes last
                 least[r * r % p] = r
             assert len(rows[p]) == p and list(rows[p][1:]) == least[1:], p
+
+    within(1.0, check)
+
+
+def test_recipe_columns_are_the_crt_split():
+    # a = q n, q the largest power of a's least prime p; e = n (n^-1 mod q) is 0 mod n,
+    # 1 mod q and below a, and 0 where q = a: neither column can be read off the other
+    def check():
+        spf, (qs, es, _) = smallest_prime_factors(), enumeration._recipe_table(1 << 16)
+        for a in range(2, 1 << 16):
+            p, q = spf[a] or a, 1
+            while a % (q * p) == 0:
+                q *= p
+            assert qs[a] == q, a
+            if q < a:
+                assert es[a] % (a // q) == 0 and es[a] % q == 1 and es[a] < a, a
+            else:
+                assert es[a] == 0, a
 
     within(1.0, check)
 
