@@ -1,19 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: ten verbs and one table of their grammar, _VERBS.
 
-Verbs: reduce, equiv, class-number, enumerate, base-point, point-form,
-legendre, orbit, check-t32, plot. Text output is line oriented; all verbs
-but plot (which writes SVG) take --format json, the same data as one sorted
-JSON object. Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
+Text output is line oriented; all verbs but plot (which writes SVG) take --format json,
+the same data as one sorted JSON object. Exit codes: 0 on success, 1 on domain errors, 2
+on usage errors. main reads a plain argv off the table alone; argparse, built from the
+same table, is imported only for -h, usage errors and other spellings of an argv.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
 import re
 import sys
+import types
 from operator import eq, itemgetter
 
 from ._value import _plain
@@ -219,91 +219,109 @@ def _cmd_plot(args) -> tuple[None, str]:
     return None, render_region_svg(markers, args.region)
 
 
-def _parse_as(cls):
-    """cls.parse as an argparse type: a malformed value's error names its format."""
-    def parse(text: str):
-        try:
-            return cls.parse(text)
-        except ValueError as exc:  # argparse would print "invalid parse value"
-            raise argparse.ArgumentTypeError(exc) from None
-    return parse
+_FORM, _POINT, _ELEMENT = QuadraticForm.parse, AlgebraicPoint.parse, QuadFieldElement.parse
+_FORMAT = {"--format": (("text", "json"), "text", "output format")}
+_FORMAT_DEPTH = {**_FORMAT, "--depth": (int, 8, None)}
+# The grammar, read by _fast and build_parser: verb -> (handler, help, positionals, options).
+# Positionals map dest to converter, None for plot's texts, any number; options map name to
+# (choices or converter, None for a flag; default; help), in help order.
+_VERBS = {
+    "reduce": (_cmd_reduce, "reduce a form, printing a witness", {"form": _FORM}, _FORMAT),
+    "equiv": (_cmd_equiv, "test two forms for equivalence", {"form": _FORM, "other": _FORM},
+              {**_FORMAT, "--mode": (("proper", "extended"), "proper", None)}),
+    "class-number": (_cmd_class_number, "count primitive reduced forms", {"delta": int}, _FORMAT),
+    "enumerate": (_cmd_enumerate, "list reduced forms of a discriminant", {"delta": int},
+                  {**_FORMAT, "--almost": (None, False, "keep boundary mirrors"),
+                   "--primitive": (None, False, "primitive forms only")}),
+    "base-point": (_cmd_base_point, "upper half-plane root of a form", {"form": _FORM}, _FORMAT),
+    "point-form": (_cmd_point_form, "primitive form owning a point", {"point": _POINT}, _FORMAT),
+    "legendre": (_cmd_legendre, "Legendre symbol (value/p)", {"value": int, "p": int}, _FORMAT),
+    "orbit": (_cmd_orbit, "breadth-first orbit of a quadratic irrational", {"element": _ELEMENT},
+              _FORMAT_DEPTH),
+    "check-t32": (_cmd_check_t32, "orbit membership vs form equivalence",
+                  {"alpha": _ELEMENT, "beta": _ELEMENT}, _FORMAT_DEPTH),
+    "plot": (_cmd_plot, "SVG of points in a fundamental region", {"items": None},
+             {"--points": (None, False, "arguments are points"),
+              "--region": (("pi", "pibar"), "pi", None),
+              "--out": (str, "-", "output file, - for stdout")}),
+}
+_NUMBER = re.compile(r"-\.?\d")  # a token so led is a value, as -1,2,-5: no option starts so
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fast(argv: list[str]):
+    """argv's namespace as the verb table reads it, or None to leave argv to argparse: the
+    verb, exact options, one run of positionals (led by "-" only as _NUMBER allows), one "--"."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    handler, _, positionals, options = _VERBS[argv[0]]
+    args = {name[2:]: default for name, (_, default, _) in options.items()}
+    texts, dashed, ended, tokens = [], False, False, iter(argv[1:])  # ended: an option after texts
+    try:
+        for token in tokens:
+            if token == "--" and not (dashed or ended):
+                dashed = True
+            elif token[:1] != "-" or _NUMBER.match(token):
+                if ended:  # a second run of positionals, which argparse would leave over
+                    return None
+                texts.append(token)
+            elif dashed or token not in options:
+                return None
+            elif (kind := options[token][0]) is None:
+                args[token[2:]], ended = True, bool(texts)
+            else:
+                value, ended = next(tokens, "-"), bool(texts)  # a missing value is refused as "-"
+                if value[:1] == "-" or isinstance(kind, tuple) and value not in kind:
+                    return None
+                args[token[2:]] = value if isinstance(kind, tuple) else kind(value)
+        if None in positionals.values():
+            args["items"] = texts
+        elif len(texts) == len(positionals):
+            args.update((dest, positionals[dest](text)) for dest, text in zip(positionals, texts))
+        else:
+            return None
+    except (TypeError, ValueError):  # a value that argparse would refuse
+        return None
+    return types.SimpleNamespace(handler=handler, **args)
+
+
+def build_parser():
+    """The argparse parser of the verb table, for help texts and usage errors."""
+    import argparse
+    def parse_as(convert):  # a malformed value's error names its format, not "parse"
+        def parse(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(exc) from None
+        return parse
     parser = argparse.ArgumentParser(
-        prog="bqf",
-        description="binary quadratic forms under the extended modular group",
-    )
+        prog="bqf", description="binary quadratic forms under the extended modular group")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for verb, (handler, text, positionals, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-        return p
-
-    p = add("reduce", _cmd_reduce, help="reduce a form, printing a witness")
-    p.add_argument("form", type=_parse_as(QuadraticForm))
-
-    p = add("equiv", _cmd_equiv, help="test two forms for equivalence")
-    p.add_argument("form", type=_parse_as(QuadraticForm))
-    p.add_argument("other", type=_parse_as(QuadraticForm))
-    p.add_argument("--mode", choices=("proper", "extended"), default="proper")
-
-    p = add("class-number", _cmd_class_number, help="count primitive reduced forms")
-    p.add_argument("delta", type=int)
-
-    p = add("enumerate", _cmd_enumerate, help="list reduced forms of a discriminant")
-    p.add_argument("delta", type=int)
-    p.add_argument("--almost", action="store_true", help="keep boundary mirrors")
-    p.add_argument("--primitive", action="store_true", help="primitive forms only")
-
-    p = add("base-point", _cmd_base_point, help="upper half-plane root of a form")
-    p.add_argument("form", type=_parse_as(QuadraticForm))
-
-    p = add("point-form", _cmd_point_form, help="primitive form owning a point")
-    p.add_argument("point", type=_parse_as(AlgebraicPoint))
-
-    p = add("legendre", _cmd_legendre, help="Legendre symbol (value/p)")
-    p.add_argument("value", type=int)
-    p.add_argument("p", type=int)
-
-    p = add("orbit", _cmd_orbit, help="breadth-first orbit of a quadratic irrational")
-    p.add_argument("element", type=_parse_as(QuadFieldElement))
-    p.add_argument("--depth", type=int, default=8)
-
-    p = add("check-t32", _cmd_check_t32, help="orbit membership vs form equivalence")
-    p.add_argument("alpha", type=_parse_as(QuadFieldElement))
-    p.add_argument("beta", type=_parse_as(QuadFieldElement))
-    p.add_argument("--depth", type=int, default=8)
-
-    p = sub.add_parser("plot", help="SVG of points in a fundamental region")
-    p.set_defaults(handler=_cmd_plot)
-    p.add_argument("items", nargs="*", help="forms a,b,c or (with --points) points p,q,D")
-    p.add_argument("--points", action="store_true", help="arguments are points")
-    p.add_argument("--region", choices=("pi", "pibar"), default="pi")
-    p.add_argument("--out", default="-", help="output file, - for stdout")
-
-    for p in sub.choices.values():  # argparse's own hook: -1,2,-5 is a value, not an option;
-        p._negative_number_matcher = re.compile(r"-\.?\d")  # no option starts with -<digit>
-    parser.verbs = sub.choices  # verb name -> its parser, for main's one parse
+        p._negative_number_matcher = _NUMBER  # argparse's own hook for values led by "-"
+        for dest, convert in positionals.items():
+            if convert is None:
+                p.add_argument(dest, nargs="*", help="forms a,b,c or (with --points) points p,q,D")
+            else:
+                p.add_argument(dest, type=convert if convert is int else parse_as(convert))
+        for name, (kind, default, text) in options.items():
+            how = ({"choices": kind} if isinstance(kind, tuple)
+                   else {"action": "store_true"} if kind is None else {"type": kind})
+            p.add_argument(name, default=default, help=text, **how)
+    parser.verbs = sub.choices  # verb name -> its parser
     return parser
 
 
-_parser = functools.cache(build_parser)  # built on the first main call, then reused
+_parser = functools.cache(build_parser)  # built on the first argv _fast leaves, then reused
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    verb = parser.verbs.get(argv[0]) if argv else None
-    args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
-    if verb is None or extra:  # no verb first, or unknown arguments: the full parser's error
-        args = parser.parse_args(argv)
+    args = _fast(argv) or _parser().parse_args(argv)  # argparse: -h, usage errors, other spellings
     if argv.count("--") > 1:  # no value is "--", and argparse up to 3.13.0 mishandles a
-        verb.error("'--' may be given only once")  # second one; other usage errors come first
+        _parser().verbs[args.verb].error("'--' may be given only once")  # second one
     try:
         data, text = args.handler(args)
         out_path = getattr(args, "out", "-")

@@ -75,8 +75,9 @@ def within(seconds, fn):
         assert time.perf_counter() - start < seconds, f"no outcome within {seconds} s"
 
 
-def python(*args, seconds=10.0):
-    """(returncode, stdout, stderr) of a fresh interpreter run on args, bounded by within."""
-    cmd = [sys.executable, *map(str, args)]
+def python(*args, seconds=10.0, executable=sys.executable):
+    """(returncode, stdout, stderr) of a fresh interpreter, this one by default, run on
+    args, bounded by within."""
+    cmd = [executable, *map(str, args)]
     proc = within(seconds, lambda: subprocess.run(cmd, capture_output=True, text=True))
     return proc.returncode, proc.stdout, proc.stderr

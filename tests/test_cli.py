@@ -7,10 +7,12 @@ import math
 import random
 import re
 import shlex
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bqf import base_point, cli, residues
@@ -255,6 +257,45 @@ def test_the_fuzz_draws_every_verb_and_option():
     assert {flag[0] for flag in FLAGS} | {"--depth"} == options - {"--help", "--out"}
 
 
+VERB_OPTIONS = {verb: set(p._option_string_actions) for verb, p in cli.build_parser().verbs.items()}
+
+
+@st.composite
+def mixed(draw):
+    """A verb's positionals (plot's: up to six items), maybe a "--", and one to three of its
+    own options, in any order; --out only names a file, since nothing here runs the verb."""
+    verb = draw(st.sampled_from(tuple(SHAPES)))
+    count = draw(st.integers(0, 6)) if verb == "plot" else len(SHAPES[verb])
+    parts = [[draw(PARTS[SHAPES[verb][0]])] for _ in range(count)]
+    if draw(st.booleans()):
+        parts.append(["--"])
+    own = [flag for flag in FLAGS + (["--out", "x.svg"], ["--depth", "5"])
+           if flag[0] in VERB_OPTIONS[verb]]
+    parts += draw(st.lists(st.sampled_from(own), min_size=1, max_size=3))
+    return [verb, *sum(draw(st.permutations(parts)), [])]
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped | unshaped.map(lambda drawn: [drawn[0], *drawn[1]]) | mixed())
+@example(["plot", "0", "--points", "0"])  # an option after plot's items ends their run
+@example(["reduce", "1,0,1", "--format", "json", "--"])  # and a "--" after it is left over
+@example(["plot", "--out", "--points"])  # an option name is no option's value
+@example(["plot", "--out"])  # nor is the end of argv
+@example(["equiv", "1,0,1", "1,0,1", "--mode", "loose"])  # nor a text outside the choices
+def test_fast_path_agrees_with_argparse(argv):
+    # an argv the verb table reads must be one argparse reads to the same namespace
+    fast = cli._fast(argv)
+    if fast is None:
+        return
+    with redirect_stdout(io.StringIO()), redirect_stderr(err := io.StringIO()):
+        try:
+            full = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            raise AssertionError(f"argparse exits on {argv}: {err.getvalue()}") from None
+    del full["verb"]
+    assert vars(fast) == full
+
+
 def test_the_time_bound_passes_through_main():
     # main turns a ValueError or OSError into exit 1; the alarm's Overtime is neither, so a
     # slow call fails the fuzz above, where a TimeoutError would pass as a domain error.
@@ -276,19 +317,22 @@ def full_parse(argv):
     raise AssertionError(f"{argv} parsed without exiting")
 
 
+USAGE_ERRORS = (
+    ["reduce", "1,2"],
+    ["point-form", "1,2,5"],
+    ["nonsense"],
+    ["equiv", "1,0,1"],
+    [],
+    ["reduce", "1,0,1", "extra"],
+    ["plot", "--bogus", "1,0,1"],
+    ["--format", "json"],
+)
+
+
 def test_usage_errors_exit_two():
-    # main parses argv with the verb's own parser alone; what it writes on a
+    # main reads a plain argv off the verb table alone; what it writes on a
     # usage error must still be exactly what the full parser writes
-    for argv in (
-        ["reduce", "1,2"],
-        ["point-form", "1,2,5"],
-        ["nonsense"],
-        ["equiv", "1,0,1"],
-        [],
-        ["reduce", "1,0,1", "extra"],
-        ["plot", "--bogus", "1,0,1"],
-        ["--format", "json"],
-    ):
+    for argv in USAGE_ERRORS:
         code, out, err = run(argv)
         assert code == 2, argv
         assert "usage:" in err
@@ -296,6 +340,41 @@ def test_usage_errors_exit_two():
     code, out, err = run(["reduce", "-h"])
     assert (code, err) == (0, "") and out.startswith("usage: bqf reduce")
     assert (code, out, err) == full_parse(["reduce", "-h"])
+
+
+# runs main on each argv of argv[2], a JSON list, with src (argv[1]) first on sys.path
+# and prints a JSON list of [exit code, stdout]; it needs nothing beyond the stdlib
+MAIN_EACH = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from bqf.cli import main
+replies = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    replies.append([code, out.getvalue()])
+print(json.dumps(replies))
+"""
+
+
+@pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
+def test_goldens_on_other_interpreters(interpreter):
+    # pyproject.toml admits CPython 3.10 and later: each golden's stdout and each usage
+    # error's exit 2, in one process of each other interpreter that is here and starts
+    if shutil.which(interpreter) is None or python("-c", "", executable=interpreter)[0] != 0:
+        pytest.skip(f"{interpreter} is absent or does not start")
+    src = Path(cli.__file__).resolve().parents[1]
+    argvs = [argv for argv, _ in ALL_GOLDENS] + list(USAGE_ERRORS)
+    code, out, err = python("-I", "-c", MAIN_EACH, src, json.dumps(argvs), executable=interpreter)
+    assert (code, err) == (0, ""), err
+    replies = json.loads(out)
+    assert replies[: len(ALL_GOLDENS)] == [[0, want] for _, want in ALL_GOLDENS]
+    assert [code for code, _ in replies[len(ALL_GOLDENS) :]] == [2] * len(USAGE_ERRORS)
 
 
 def test_malformed_value_names_its_format():

@@ -285,10 +285,14 @@ def test_import_leaves_dataclasses_out():
         f"import io, sys; sys.path.insert(0, {src!r}); import bqf.cli; "
         "assert bqf.__file__.startswith(sys.path[0]); "
         "assert 'dataclasses' not in sys.modules; "
-        # fractions (with decimal) and json load only for the verbs that use them
-        "lazy = ('fractions', 'decimal', 'json'); "
-        "assert not [m for m in lazy if m in sys.modules] and 'argparse' in sys.modules; "
+        # fractions (with decimal) and json load only for the verbs that use them, and
+        # argparse only for an argv the verb table leaves to it, such as a usage error
+        "lazy = ('fractions', 'decimal', 'json', 'argparse'); "
+        "assert not [m for m in lazy if m in sys.modules]; "
         "sys.stdout = io.StringIO(); assert bqf.cli.main(['reduce', '11,49,55']) == 0; "
-        "assert not [m for m in lazy if m in sys.modules] and 'argparse' in sys.modules"
+        "assert not [m for m in lazy if m in sys.modules]; "
+        "sys.stderr = io.StringIO(); code = None\n"
+        "try:\n    bqf.cli.main(['reduce', '1,2'])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "assert code == 2 and 'argparse' in sys.modules"
     )
     assert python("-I", "-c", code) == (0, "", "")
