@@ -11,9 +11,9 @@ lifts the roots of a / p; a prime a > 2 not dividing delta instead reads its lea
 root off a byte row of a entries when a < 2^9 (all 96 hold 22.5 KB and build in
 ~0.7 ms), and takes Tonelli-Shanks from 2^9 up. One table, independent of delta,
 holds the columns q and e and the rows for every a below a power of two: cached per
-size, built on first need (~18 ms at 2^16, ~1.2 ms at 2^11), all sizes together
-< 1 MB. Counts build no form. |delta| is capped at MAX_ABS_DELTA; above it the
-functions raise ValueError.
+size, built on first need (~18 ms at 2^16, ~1.2 ms at 2^11); the rows are built once,
+in the 2^9 table, and shared by every larger size, so all 16 sizes hold ~0.61 MB. Counts
+build no form. |delta| is capped at MAX_ABS_DELTA; above it the functions raise ValueError.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ MAX_ABS_DELTA = 10**10
 @functools.cache
 def _recipe_table(size: int):
     """Columns q and e of each a < size's recipe (see above), e = 0 where q = a, and rows
-    least[p], the least root of each x mod an odd prime p < min(size, 2^9), 0 for none;
-    size a power of two."""
+    least[p], the least root of each x mod an odd prime p < min(size, 2^9), 0 for none,
+    built in the 2^9 table and shared by every larger size; size a power of two."""
     if size > 1 << 16:  # array("H") holds a < 2^16, and the prime table ends there
         raise ValueError(f"MAX_ABS_DELTA = {_bound_text(MAX_ABS_DELTA)} exceeds 3 * 2^32")
     from array import array  # here, not at import: loading array costs every process
@@ -49,8 +49,10 @@ def _recipe_table(size: int):
                 qs[q::q] = array("H", [q]) * len(range(q, size, q))
                 q *= p
     es = array("H", [(n := a // q) * pow(n, -1, q) if q < a else 0 for a, q in enumerate(qs)])
-    least = [b""] * min(size, 1 << 9)
-    for p in range(3, len(least)):
+    if size > 1 << 9:  # the rows depend on p alone
+        return qs, es, _recipe_table(1 << 9)[2]
+    least = [b""] * size
+    for p in range(3, size):
         if not spf[p]:  # a residue's one root in [1, p/2] is its least
             row = bytearray(p)
             for r in range(1, p // 2 + 1):

@@ -334,6 +334,10 @@ def test_root_tables_hold_the_least_root():
             assert len(rows[p]) == p and list(rows[p][1:]) == least[1:], p
 
     within(1.0, check)
+    # the rows depend on p alone: every larger size returns the 2^9 table's rows object
+    enumeration._recipe_table.cache_clear()
+    for k in range(10, 17):
+        assert enumeration._recipe_table(1 << k)[2] is enumeration._recipe_table(1 << 9)[2], k
 
 
 def test_recipe_columns_are_the_crt_split():
@@ -366,6 +370,9 @@ def test_table_cache_order_changes_no_triple():
     )
     runs = [python("-c", code, *order) for order in (deltas, deltas[::-1])]
     assert runs[0] == runs[1] and runs[0][0] == 0, runs
+    # pinned: the exact almost-reduced triples up to the bound |delta| = 10^10
+    assert runs[0][1].strip() == (
+        "3c90847f723c86d8d12897f55b19900ee701b73847134a473053a9bce1d8ec68"), runs
 
 
 def test_threads_share_the_recipe_table():
